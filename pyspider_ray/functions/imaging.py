@@ -24,16 +24,25 @@ import zlib
 
 import numpy as np
 
+from .buffers import byte_view
+
 _PNG_SIG = b"\x89PNG\r\n\x1a\n"
 
 
+def _chunk_parts(tag: bytes, payload: bytes) -> list:
+    # CRC over tag then payload without concatenating them first
+    crc = zlib.crc32(payload, zlib.crc32(tag)) & 0xFFFFFFFF
+    return [struct.pack(">I", len(payload)) + tag, payload,
+            struct.pack(">I", crc)]
+
+
 def _chunk(tag: bytes, payload: bytes) -> bytes:
-    crc = zlib.crc32(tag + payload) & 0xFFFFFFFF
-    return struct.pack(">I", len(payload)) + tag + payload + struct.pack(">I", crc)
+    return b"".join(_chunk_parts(tag, payload))
 
 
-def png_encode(pixels: np.ndarray, compress_level: int = 6) -> bytes:
-    """Encode an (h, w, 3) uint8 array as PNG (color type 2, filter 0)."""
+def _png_parts(pixels: np.ndarray, compress_level: int) -> list:
+    """PNG file as a list of buffers; joining them is the file's only
+    full copy (``encode_page`` joins them into its container directly)."""
     assert pixels.ndim == 3 and pixels.shape[2] == 3 and pixels.dtype == np.uint8
     h, w = pixels.shape[:2]
     ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
@@ -43,7 +52,13 @@ def png_encode(pixels: np.ndarray, compress_level: int = 6) -> bytes:
     # zlib takes the C-contiguous array via the buffer protocol —
     # .tobytes() would copy the full scanline buffer once more
     idat = zlib.compress(raw, compress_level)
-    return _PNG_SIG + _chunk(b"IHDR", ihdr) + _chunk(b"IDAT", idat) + _chunk(b"IEND", b"")
+    return [_PNG_SIG, _chunk(b"IHDR", ihdr), *_chunk_parts(b"IDAT", idat),
+            _chunk(b"IEND", b"")]
+
+
+def png_encode(pixels: np.ndarray, compress_level: int = 6) -> bytes:
+    """Encode an (h, w, 3) uint8 array as PNG (color type 2, filter 0)."""
+    return b"".join(_png_parts(pixels, compress_level))
 
 
 def _unfilter(raw: np.ndarray, h: int, stride: int, bpp: int) -> np.ndarray:
@@ -86,12 +101,15 @@ def _unfilter(raw: np.ndarray, h: int, stride: int, bpp: int) -> np.ndarray:
     return out.astype(np.uint8)
 
 
-def png_decode(data: bytes) -> np.ndarray:
-    """Decode an 8-bit RGB PNG produced by any conformant encoder."""
+def png_decode(data) -> np.ndarray:
+    """Decode an 8-bit RGB PNG produced by any conformant encoder.
+    ``data`` is any buffer; chunks are read as views of it, and a
+    single IDAT chunk (what png_encode writes) is decompressed in place."""
+    data = byte_view(data)
     if data[:8] != _PNG_SIG:
         raise ValueError("not a PNG")
     pos, w = 8, None
-    idat = bytearray()
+    idat = []
     while pos < len(data):
         (length,) = struct.unpack_from(">I", data, pos)
         tag = data[pos + 4:pos + 8]
@@ -102,12 +120,13 @@ def png_decode(data: bytes) -> np.ndarray:
             if depth != 8 or ctype != 2:
                 raise ValueError("only 8-bit RGB PNG supported")
         elif tag == b"IDAT":
-            idat += payload
+            idat.append(payload)
         elif tag == b"IEND":
             break
     if w is None:
         raise ValueError("missing IHDR")
-    raw = np.frombuffer(zlib.decompress(bytes(idat)), dtype=np.uint8)
+    stream = idat[0] if len(idat) == 1 else b"".join(idat)
+    raw = np.frombuffer(zlib.decompress(stream), dtype=np.uint8)
     return _unfilter(raw, h, w * 3, 3).reshape(h, w, 3)
 
 
@@ -115,17 +134,23 @@ _FJPG_MAGIC = b"FJPG"
 _FJPG_Q = 4  # quantization step => max abs error 2 => PSNR ~46 dB
 
 
+def _fjpg_parts(pixels: np.ndarray, compress_level: int) -> list:
+    assert pixels.ndim == 3 and pixels.shape[2] == 3 and pixels.dtype == np.uint8
+    h, w = pixels.shape[:2]
+    # uint8 floor division is exact: one pass, no widening round trip
+    q = np.ascontiguousarray(pixels) // np.uint8(_FJPG_Q)
+    return [_FJPG_MAGIC + struct.pack(">IIB", w, h, _FJPG_Q),
+            zlib.compress(q, compress_level)]
+
+
 def fjpg_encode(pixels: np.ndarray, compress_level: int = 6) -> bytes:
     """Deterministic lossy stand-in codec (STUB for real JPEG — see
     module docstring).  Error bound ±(Q/2) per channel."""
-    assert pixels.ndim == 3 and pixels.shape[2] == 3 and pixels.dtype == np.uint8
-    h, w = pixels.shape[:2]
-    q = (pixels.astype(np.uint16) // _FJPG_Q).astype(np.uint8)
-    body = zlib.compress(q.tobytes(), compress_level)
-    return _FJPG_MAGIC + struct.pack(">IIB", w, h, _FJPG_Q) + body
+    return b"".join(_fjpg_parts(pixels, compress_level))
 
 
-def fjpg_decode(data: bytes) -> np.ndarray:
+def fjpg_decode(data) -> np.ndarray:
+    data = byte_view(data)
     if data[:4] != _FJPG_MAGIC:
         raise ValueError("not an FJPG payload")
     w, h, q = struct.unpack_from(">IIB", data, 4)
@@ -134,18 +159,26 @@ def fjpg_decode(data: bytes) -> np.ndarray:
     return np.minimum(pix, 255).astype(np.uint8)
 
 
-def encode_image(pixels: np.ndarray, fmt: str,
-                 compress_level: int | None = None) -> bytes:
+def encode_image_parts(pixels: np.ndarray, fmt: str,
+                       compress_level: int = 6) -> list:
+    """The encoded image as a list of buffers, for callers that embed it
+    in a larger container with one join."""
     if fmt == "png":
-        return png_encode(pixels) if compress_level is None \
-            else png_encode(pixels, compress_level)
+        return _png_parts(pixels, compress_level)
     if fmt in ("jpeg", "fjpg"):
-        return fjpg_encode(pixels) if compress_level is None \
-            else fjpg_encode(pixels, compress_level)
+        return _fjpg_parts(pixels, compress_level)
     raise ValueError(f"unknown image format {fmt!r}")
 
 
-def decode_image(data: bytes) -> np.ndarray:
+def encode_image(pixels: np.ndarray, fmt: str,
+                 compress_level: int = 6) -> bytes:
+    return b"".join(encode_image_parts(pixels, fmt, compress_level))
+
+
+def decode_image(data) -> np.ndarray:
+    """Decode png or fjpg from any buffer (bytes, memoryview, numpy
+    uint8 view, ``pa.Buffer``) without copying the encoded bytes."""
+    data = byte_view(data)
     if data[:8] == _PNG_SIG:
         return png_decode(data)
     if data[:4] == _FJPG_MAGIC:

@@ -14,9 +14,12 @@ page payloads (image bytes + caption) on the fly from the id, so the
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 
-from .imaging import encode_image, phash64
+from .buffers import byte_view
+from .imaging import encode_image, encode_image_parts, phash64
 
 SEED = 42
 DEFAULT_SHOW = 20
@@ -86,9 +89,14 @@ def page_pixels(url_id: int, scale: int = 1) -> np.ndarray:
     return rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
 
 
+def page_etags(url_ids) -> list[str]:
+    """Deterministic content tags for conditional fetches (J5)."""
+    tags = mix64(np.asarray(url_ids, dtype=np.uint64), 0xE7A6)
+    return [f"W/{t:016x}" for t in tags.tolist()]
+
+
 def page_etag(url_id: int) -> str:
-    """Deterministic content tag for conditional fetches (J5)."""
-    return f"W/{int(mix64(url_id, 0xE7A6)):016x}"
+    return page_etags([url_id])[0]
 
 
 def page_caption(url_id: int) -> str:
@@ -102,20 +110,25 @@ _PAGE_MAGIC = b"PAGE"
 def encode_page(url_id: int, scale: int = 1) -> bytes:
     """Serialized synthetic page: caption + encoded image in one binary
     container (what the synthetic fetcher 'downloads').  ``scale``
-    multiplies image dimensions (bench knob for heavier payloads)."""
-    import struct
-    payload = page_payload(url_id, scale)
-    cap = payload["caption"].encode("utf-8")
-    return _PAGE_MAGIC + struct.pack(">I", len(cap)) + cap + payload["bytes"]
+    multiplies image dimensions (bench knob for heavier payloads).  The
+    encoded image's pieces are joined straight into the container, so
+    the container is the only full copy of them."""
+    pixels = page_pixels(url_id, scale)
+    # compress_level=0: see page_payload
+    img = encode_image_parts(pixels, page_fmt(url_id), compress_level=0)
+    cap = page_caption(url_id).encode("utf-8")
+    return b"".join([_PAGE_MAGIC, struct.pack(">I", len(cap)), cap, *img])
 
 
-def decode_page(data: bytes) -> tuple[str, bytes]:
-    """→ (caption, image_bytes).  Raises on non-page payloads."""
-    import struct
+def decode_page(data) -> tuple[str, memoryview]:
+    """→ (caption, image bytes).  ``data`` is any buffer; the image is
+    returned as a zero-copy unsigned-byte view of it.  Raises on
+    non-page payloads."""
+    data = byte_view(data)
     if data[:4] != _PAGE_MAGIC:
         raise ValueError("not a synthetic page payload")
     (n,) = struct.unpack_from(">I", data, 4)
-    cap = data[8:8 + n].decode("utf-8")
+    cap = str(data[8:8 + n], "utf-8")
     return cap, data[8 + n:]
 
 

@@ -1,4 +1,4 @@
-from .crawl import CrawlPipeline, CrawlConfig
+from .crawl import CrawlPipeline, CrawlConfig, ResultWriteError
 from .curate import curated_dataset
 
-__all__ = ["CrawlPipeline", "CrawlConfig", "curated_dataset"]
+__all__ = ["CrawlPipeline", "CrawlConfig", "ResultWriteError", "curated_dataset"]

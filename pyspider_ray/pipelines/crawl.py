@@ -52,6 +52,25 @@ from ..state import (Coordinator, FrontierShard, ProjectConfig, VirtualClock)
 FETCH_INPUT_COLUMNS = ("taskid", "urlhash", "project", "url", "host")
 
 
+class ResultWriteError(RuntimeError):
+    """A result part could not be written; its rows are not on disk."""
+
+
+def _write_part(results: pa.Table, round_dir: str, part) -> None:
+    """Publish one result part as ``round_dir/part-<part>.parquet``
+    (tmp file + atomic rename, so a re-run of the same chunk rewrites
+    the same file).  Image bytes are already zlib-compressed, so no
+    column is recompressed, and the ``bytes`` column gets neither a
+    dictionary attempt nor min/max statistics — both are full passes
+    over the payload that buy nothing for unique, opaque blobs."""
+    os.makedirs(round_dir, exist_ok=True)
+    tmp = os.path.join(round_dir, f".part-{part}.tmp")
+    small = [c for c in results.column_names if c != "bytes"]
+    pq.write_table(results, tmp, compression="none",
+                   use_dictionary=small, write_statistics=small)
+    os.rename(tmp, os.path.join(round_dir, f"part-{part}.parquet"))
+
+
 @dataclass
 class CrawlConfig:
     total: int = 2_000                 # synthetic URL id-space
@@ -226,9 +245,9 @@ class _WorkerActor:
             self.handler_mode = False
         self.persist_payload = persist_payload
         # cap on rows fetched+processed as one in-memory batch: the live
-        # set per batch is ~5-10x the encoded payload bytes (content
-        # column + decoded pixels + Arrow copies), so a whole multi-MB-
-        # payload chunk at once pushes the worker arena into the GBs —
+        # set per batch is ~4x the encoded payload bytes (content column,
+        # result column, Parquet pages, one row's pixels), so a whole
+        # multi-MB-payload chunk at once pushes the worker arena into GBs —
         # and on this host freshly-grown arena pages fault at as little
         # as ~30 MB/s in slow memory phases, which once made a sustained
         # 8k-row round 18x slower than its predecessor.  Sub-batching
@@ -243,28 +262,39 @@ class _WorkerActor:
         # slow disk backpressures instead of ballooning memory); flush()
         # joins the queue — called before checkpoints/result reads
         self._write_queue: "queue.Queue" = queue.Queue(maxsize=2)
+        # the first failed write; once set, later parts are dropped
+        # unwritten and every process_chunk/flush raises it
+        self._write_error: tuple | None = None
         self._writer = threading.Thread(target=self._write_loop, daemon=True)
         self._writer.start()
 
     def _write_loop(self) -> None:
+        # never dies: a dead writer would leave the bounded queue full
+        # and block process_chunk/flush forever
         while True:
             results, round_dir, part_idx = self._write_queue.get()
             try:
+                if self._write_error is not None:
+                    continue
                 if self.sink is not None:   # ResultWorker override hook
                     self.sink(results, round_dir, part_idx)
                 else:
-                    os.makedirs(round_dir, exist_ok=True)
-                    tmp = os.path.join(round_dir, f".part-{part_idx}.tmp")
-                    # image bytes are already zlib-compressed; skip
-                    # recompression
-                    pq.write_table(results, tmp, compression="none")
-                    os.rename(tmp, os.path.join(round_dir,
-                                                f"part-{part_idx}.parquet"))
+                    _write_part(results, round_dir, part_idx)
+            except Exception as e:   # re-raised, chained, by the caller
+                self._write_error = (round_dir, part_idx, e)
             finally:
                 self._write_queue.task_done()
 
+    def _raise_write_error(self) -> None:
+        if self._write_error is not None:
+            round_dir, part_idx, e = self._write_error
+            raise ResultWriteError(
+                f"writing result part {part_idx} of {round_dir} failed: "
+                f"{e!r}; this worker's later parts were not written") from e
+
     def flush(self) -> bool:
         self._write_queue.join()
+        self._raise_write_error()
         return True
 
     def process_chunk(self, table: pa.Table, round_dir: str,
@@ -272,6 +302,7 @@ class _WorkerActor:
         # span-slicing here lets the driver ray.put the round table ONCE
         # and hand (ref, offset, len) to every chunk — one driver-side
         # serialization per round instead of one per chunk
+        self._raise_write_error()
         if span is not None:
             table = table.slice(span[0], span[1])
         if self.handler_mode:
@@ -297,6 +328,7 @@ class _WorkerActor:
                 # re-run of the same chunk rewrites the same files)
                 pid = part_idx if one_batch else f"{part_idx}_{k}"
                 self._write_queue.put((results, round_dir, pid))
+        self._raise_write_error()
         return ctrl_parts[0] if len(ctrl_parts) == 1 \
             else pa.concat_tables(ctrl_parts)
 
@@ -559,12 +591,15 @@ class CrawlPipeline:
               "skew": cfg.skew, "follow_priority": cfg.follow_priority}
         spec = (cfg.handler_cls, cfg.project) if cfg.handler_cls else None
         # keep each worker's in-flight live set near a fixed byte budget
-        # (~256 MB): the live set per row is ~5-10x the encoded payload
-        # (content column + Arrow copies + decoded pixels), measured
-        # ~70 KB x page_scale^2.  Small-payload chunks stay whole (an
-        # A/B showed a 23% throughput tax when 100-row page_scale-6
-        # chunks were force-split); heavy payloads split to stay under
-        # the budget regardless of chunk size.
+        # (~256 MB): the live set per row is ~4x the encoded payload
+        # (content column, result column, Parquet pages, one row's
+        # pixels), measured at page_scale 6 as ~62 KB x page_scale^2 per
+        # row (peak RSS growth of a 106-row batch: 237 MB for 59 MB of
+        # pages), so the 70 KB estimate keeps a ~10% margin.
+        # Small-payload chunks stay whole (an A/B showed a 23% throughput
+        # tax when 100-row page_scale-6 chunks were force-split); heavy
+        # payloads split to stay under the budget regardless of chunk
+        # size.
         est_row_bytes = 70_000 * cfg.page_scale ** 2
         batch_rows = max(16, min(cfg.batch_size * 4,
                                  (256 << 20) // est_row_bytes))
@@ -645,9 +680,7 @@ class CrawlPipeline:
                     sink = self._local_sink = cfg.sink_cls()
                 sink(results, round_dir, 0)
             else:
-                os.makedirs(round_dir, exist_ok=True)
-                pq.write_table(results,
-                               os.path.join(round_dir, "part-0.parquet"))
+                _write_part(results, round_dir, 0)
         return ctrl
 
     def _ingest_handler_extras(self, ctrl_tables: list[pa.Table]) -> None:

@@ -23,6 +23,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions import synthweb
+from ..functions.buffers import binary_array
 
 
 class SyntheticFetcher:
@@ -86,7 +87,6 @@ class SyntheticFetcher:
         contents: list[bytes] = []
         errors: list[str] = []
         headers: list[str] = []
-        times = np.empty(n, dtype=np.float64)
         for i, url in enumerate(urls):
             code, content, err = self._fetch_one(url, retried[i] or 0,
                                                  etags[i] or "",
@@ -104,15 +104,16 @@ class SyntheticFetcher:
                     {"Set-Cookie": f"sid={sid:08x}; Path=/"}))
             else:
                 headers.append("")
-            # deterministic pseudo fetch latency (metrics plumbing),
-            # derived from the URL so it is independent of batch layout
-            tail = url.rsplit("/", 1)[-1]
-            uid = int(tail) if tail.isdigit() else len(url)
-            times[i] = 0.01 + float(synthweb.mix64(uid, 77)
-                                    % np.uint64(50)) / 1000.0
+        # deterministic pseudo fetch latency (metrics plumbing), derived
+        # from the URL so it is independent of batch layout
+        tails = [url.rsplit("/", 1)[-1] for url in urls]
+        uids = np.asarray([int(t) if t.isdigit() else len(url)
+                           for t, url in zip(tails, urls)], dtype=np.uint64)
+        times = 0.01 + (synthweb.mix64(uids, 77) % np.uint64(50)
+                        ).astype(np.float64) / 1000.0
         return (batch
                 .append_column("status_code", pa.array(codes, pa.int32()))
-                .append_column("content", pa.array(contents, pa.binary()))
+                .append_column("content", binary_array(contents))
                 .append_column("fetch_error", pa.array(errors, pa.string()))
                 .append_column("resp_headers", pa.array(headers,
                                                         pa.string()))

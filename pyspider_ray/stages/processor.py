@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..functions import synthweb
+from ..functions.buffers import binary_array, binary_views
 from ..functions.imaging import decode_image, phash64
 
 
@@ -38,28 +40,23 @@ class ProcessorStage:
         self.follow_priority = follow_priority
         self.verify_payload = verify_payload
 
-    def _process_page(self, url: str, content: bytes):
-        url_id = synthweb.parse_url_id(url)
+    def _process_page(self, url_id: int, content, kids: list, hosts: list):
         caption, img_bytes = synthweb.decode_page(content)
         pixels = decode_image(img_bytes)
         h, w = pixels.shape[:2]
-        kids = synthweb.child_ids(np.asarray([url_id]), self.total,
-                                  self.show)[0]
         # in-callback follows dedup, preserving first occurrence (D1)
         seen: set[int] = set()
         follows = []
-        hosts = synthweb.host_of(kids, self.n_hosts, self.skew)
-        for kid, khost in zip(kids, hosts):
-            k = int(kid)
+        for k, khost in zip(kids, hosts):
             if k in seen:
                 continue
             seen.add(k)
-            follows.append(synthweb.url_of(k, int(khost)))
+            follows.append(synthweb.url_of(k, khost))
         # canonicalize in-stage so the driver never md5s follow URLs
         # (the M2/M6 work stays in the distributed data plane)
         result = {
             "image_id": f"img-{url_id:012d}",
-            "bytes": img_bytes,
+            "bytes": img_bytes,   # a view into the content column
             "w": w,
             "h": h,
             "fmt": synthweb.page_fmt(url_id),
@@ -68,18 +65,44 @@ class ProcessorStage:
         }
         return follows, result
 
+    def _page_ids(self, urls: list, codes: list) -> dict:
+        """row → url id of every 2xx page row whose URL carries one that
+        fits the graph's uint64 hash; other page rows fail processing."""
+        ids = {}
+        for i, (url, code) in enumerate(zip(urls, codes)):
+            if 200 <= code < 300 and not url.startswith("data:"):
+                try:
+                    uid = synthweb.parse_url_id(url)
+                except (ValueError, IndexError):
+                    continue
+                if 0 <= uid < 1 << 64:
+                    ids[i] = uid
+        return ids
+
     def __call__(self, batch: pa.Table) -> pa.Table:
         n = len(batch)
         urls = batch["url"].to_pylist()
         codes = batch["status_code"].to_pylist()
-        contents = batch["content"].to_pylist()
+        contents = binary_views(batch["content"])
         process_ok = np.zeros(n, dtype=bool)
         process_time = np.full(n, 0.001, dtype=np.float64)
-        etags: list[str] = []
         follows_col: list[list[str]] = []
         res = {k: [] for k in ("image_id", "bytes", "w", "h", "fmt",
                                "caption", "phash")}
         has_result = np.zeros(n, dtype=bool)
+
+        # the synthetic graph and content tags for the whole batch in
+        # one vectorized call each, instead of one per page
+        ids = self._page_ids(urls, codes)
+        id_arr = np.asarray(list(ids.values()), dtype=np.uint64)
+        kids = synthweb.child_ids(id_arr, self.total, self.show)
+        hosts = synthweb.host_of(kids.ravel(), self.n_hosts, self.skew)
+        page_rows = dict(zip(ids, zip(kids.tolist(),
+                                      hosts.reshape(kids.shape).tolist())))
+        # content tag for the next conditional fetch (J5)
+        etags = [""] * n
+        for i, tag in zip(ids, synthweb.page_etags(id_arr)):
+            etags[i] = tag
 
         for i in range(n):
             follows: list[str] = []
@@ -90,7 +113,8 @@ class ProcessorStage:
                     if urls[i].startswith("data:"):
                         process_ok[i] = True  # control callback: no-op ok
                     else:
-                        follows, result = self._process_page(urls[i], contents[i])
+                        follows, result = self._process_page(
+                            ids[i], contents[i], *page_rows[i])
                         process_ok[i] = True
                 elif code == 304:
                     # not-modified skips the callback but succeeds
@@ -101,15 +125,6 @@ class ProcessorStage:
                     process_ok[i] = False
             except Exception:
                 process_ok[i] = False
-            # content tag for the next conditional fetch (J5)
-            if not urls[i].startswith("data:") and 200 <= code < 300:
-                try:
-                    etags.append(synthweb.page_etag(
-                        synthweb.parse_url_id(urls[i])))
-                except (ValueError, IndexError):
-                    etags.append("")
-            else:
-                etags.append("")
             follows_col.append(follows)
             if result is not None:
                 has_result[i] = True
@@ -157,7 +172,7 @@ class ProcessorStage:
                               pa.array(f_host, pa.list_(pa.string())))
                .append_column("has_result", pa.array(has_result))
                .append_column("image_id", pa.array(res["image_id"], pa.string()))
-               .append_column("bytes", pa.array(res["bytes"], pa.binary()))
+               .append_column("bytes", binary_array(res["bytes"]))
                .append_column("w", pa.array(res["w"], pa.int32()))
                .append_column("h", pa.array(res["h"], pa.int32()))
                .append_column("fmt", pa.array(res["fmt"], pa.string()))
@@ -179,6 +194,9 @@ def ResultBuilder(batch: pa.Table) -> pa.Table:
     result_worker.py:27-39 + F7 schema)."""
     mask = batch["has_result"]
     cols = [c for c in RESULT_COLUMNS if c in batch.column_names]
+    if mask.null_count == 0 and pc.all(mask).as_py():
+        # every row has a result: a projection, no copy of the payload
+        return batch.select(cols)
     return batch.filter(mask).select(cols)
 
 
