@@ -9,18 +9,19 @@ The scale shape (SURVEY.md §2.7 + the 100 TB brief):
    coarse deterministic hash, then expands runs vectorized
    (``np.triu_indices`` over lexsorted runs);
 4. pair dedup across bands is a second hash exchange keyed on the
-   (lo, hi) pair values — packed into one uint64 word on the wire when
-   doc ids fit 32 bits, carried as (n, 2) int64 columns beyond that
-   (the 10^10-doc envelope);
+   (lo, hi) pair values, deduplicated as one packed uint64 word when
+   doc ids fit 32 bits and as (lo, hi) rows beyond that (the
+   10^10-doc envelope);
 5. exact verification re-joins the pair table against the signature /
    document table on doc_a then doc_b — a partitioned hash join; no
    stage broadcasts the corpus.
 
 The exchanges run as a MANUAL two-stage hash shuffle on raw Ray tasks
 (the SURVEY's case-(c) escape hatch) rather than
-``groupby().map_groups``: the map side splits every block into P
-partition sub-tables (``num_returns=P``); the reduce side concats one
-partition and processes it.  Two reasons, both measured at sf0.1:
+``groupby().map_groups``: one primitive, ``_partitioned``, splits every
+input block group into P partition sub-tables by a partition-id
+function; one reduce task per partition concats its slices and
+processes them.  Two reasons, both measured at sf0.1:
 
 - Ray Data's sort-based groupby spent ~70 s sorting the 37 M-row pair
   table that hash partitioning moves without any sort;
@@ -33,8 +34,11 @@ partition and processes it.  Two reasons, both measured at sf0.1:
 Partitioning contract: every (band, key) bucket lands WHOLLY in one
 reduce partition (the hash is over the bucket key, never the doc), so
 pair expansion sees complete buckets; P bounds per-reduce-task memory
-at O(rows/P + hottest bucket).  At cluster scale P should be ~total
-cores; object transfer is the plasma store exactly as a Dataset
+at O(rows/P + hottest bucket).  P is not a caller's knob: the driver
+sizes it from the input's block bytes, one partition per
+``_PARTITION_BYTES`` (clamped to [1, 64]), so a small input runs as one
+reduce task with no split at all and a large one fans out to 64
+partitions.  Object transfer is the plasma store exactly as a Dataset
 shuffle would use it.
 
 Skew note: a degenerate band key (e.g. the empty-document signature)
@@ -45,6 +49,8 @@ partition through the ``pyspider_ray.neardup`` logger.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pyarrow as pa
@@ -62,7 +68,7 @@ def _expand_runs(band: np.ndarray, key: np.ndarray, doc: np.ndarray,
     """Vectorized within-bucket pair expansion over lexsorted triples;
     returns (lo, hi) int64 pair columns (lo < hi).  Works for the full
     int64 doc-id space — packing into one word, when the ids allow it,
-    is the transport layer's concern (``_pack_pairs``)."""
+    is the dedup step's concern (``_pack_pairs``)."""
     if len(band) == 0:
         e = np.empty(0, dtype=np.int64)
         return e, e
@@ -110,13 +116,12 @@ _NARROW_MAX = np.int64(1) << np.int64(32)
 
 
 def _pack_pairs(lo: np.ndarray, hi: np.ndarray):
-    """Transport/dedup format for a pair column: packed uint64
-    (lo<<32 | hi) when every doc id fits 32 bits (half the exchange
-    bytes, one-word np.unique), else a C-contiguous (n, 2) int64 array
-    — the >2^32-doc fallback for 10^10-URL frontiers.  Mixed
-    representations meet safely in ``_nd_pair_unique``: partition
-    routing hashes (lo, hi) VALUES (``_pair_hash``), never the packed
-    word, so both formats route a given pair identically."""
+    """Dedup format for a pair column: packed uint64 (lo<<32 | hi)
+    when every doc id fits 32 bits (one-word np.unique), else a
+    C-contiguous (n, 2) int64 array — the >2^32-doc fallback for
+    10^10-URL frontiers.  Partition routing hashes (lo, hi) VALUES
+    (``_pair_hash``), never the packed word, so narrow and wide pairs
+    route identically."""
     if len(hi) == 0 or (hi.max() < _NARROW_MAX and lo.max() < _NARROW_MAX
                         and min(lo.min(), hi.min()) >= 0):
         u = lo.astype(np.uint64) << np.uint64(32)
@@ -132,8 +137,8 @@ def _unpack_pairs(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pair_hash(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Partition hash over pair VALUES — identical whichever transport
-    representation carries the pair."""
+    """Partition hash over pair VALUES — identical whichever dedup
+    representation the pair had."""
     with np.errstate(over="ignore"):
         h = (lo.astype(np.uint64) * _GOLD) ^ (hi.astype(np.uint64) * _GOLD2)
         h ^= h >> np.uint64(29)
@@ -156,96 +161,160 @@ def _key_bucket(k: np.ndarray, n_buckets: int) -> np.ndarray:
     return (h % np.uint64(n_buckets)).astype(np.int64)
 
 
-def _split_table(t: pa.Table, ids: np.ndarray, P: int) -> tuple:
-    """Partition an Arrow table into P sub-tables by int partition id
-    (one stable argsort + P zero-copy slices of the gathered table)."""
-    order = np.argsort(ids, kind="stable")
-    bounds = np.searchsorted(ids[order], np.arange(P + 1))
-    taken = t.take(pa.array(order)).combine_chunks()
-    return tuple(taken.slice(int(bounds[p]), int(bounds[p + 1] - bounds[p]))
-                 for p in range(P))
+def _band_hash(band: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Routing hash of a (band, key) bucket: the banding exchange and
+    the persisted near-dup artifact's bucket layout both use it."""
+    with np.errstate(over="ignore"):
+        h = (band.astype(np.uint64) * _GOLD) ^ (key.astype(np.uint64)
+                                                * _GOLD2)
+        h ^= h >> np.uint64(29)
+    return h
 
 
-def _block_refs(ds) -> list:
-    """ObjectRefs of a Dataset's Arrow blocks (materializes the input —
-    the exchange needs the complete block list; blocks stay in the
-    object store, nothing lands on the driver)."""
-    refs = []
-    for bundle in ds.materialize().iter_internal_ref_bundles():
-        refs.extend(bundle.block_refs)
-    return refs
+# -- partition-id functions: ``part_of(table, P)`` → int64 ids in [0, P) ---
+
+def _key_part(col: str, t: pa.Table, P: int) -> np.ndarray:
+    return _key_bucket(t[col].to_numpy(), P)
 
 
-def _grouped_block_refs(ds, target_bytes: int = 64 << 20,
-                        min_tasks: int = 8) -> list[list]:
-    """Group a Dataset's block refs into map-task work lists of
-    ~``target_bytes`` each (small blocks coalesce — a split task per
-    tiny block drowns the exchange in per-object overhead, measured 2x
-    at sf0.1), keeping at least ``min_tasks`` groups for parallelism."""
+def _band_part(t: pa.Table, P: int) -> np.ndarray:
+    h = _band_hash(t["band"].to_numpy(), t["key"].to_numpy())
+    return (h % np.uint64(P)).astype(np.int64)
+
+
+def _pair_part(t: pa.Table, P: int) -> np.ndarray:
+    h = _pair_hash(t["doc_a"].to_numpy(), t["doc_b"].to_numpy())
+    return (h % np.uint64(P)).astype(np.int64)
+
+
+def _concat(parts) -> pa.Table | None:
+    """One table of the non-empty parts, or None when there are none."""
+    parts = [p for p in parts if len(p)]
+    return pa.concat_tables(parts) if parts else None
+
+
+def _arrow_schema(ds) -> pa.Schema:
+    s = ds.schema()
+    return pa.schema(list(zip(s.names, s.types)))
+
+
+# -- the exchange (module-level tasks: registered once, unpickled with the
+#    package so _malloc tuning is active inside them) -----------------------
+
+# input bytes per reduce partition: a partition's fixed cost (~3.5 ms)
+# is 10% of the reduce work of ~8 MB (partition_apply, ~4 ms/MB, 1 CPU)
+_PARTITION_BYTES = 8 << 20
+_MAX_PARTITIONS = 64
+# small blocks coalesce into map tasks of about this size: a split task
+# per tiny block drowns the exchange in per-object overhead (2x at sf0.1)
+_MAP_GROUP_BYTES = 64 << 20
+
+
+def _blocks(ds) -> tuple[list, list]:
+    """Non-empty block refs of a Dataset and their byte sizes
+    (materializes the input — the exchange needs the complete block
+    list; blocks stay in the object store, nothing lands on the
+    driver)."""
     refs, sizes = [], []
     for bundle in ds.materialize().iter_internal_ref_bundles():
         for ref, meta in zip(bundle.block_refs, bundle.metadata):
             if meta.num_rows == 0:
                 # empty blocks carry a ZERO-COLUMN schema (Ray Data
-                # skips the map fn on empty batches), and a task group
-                # of only-empty blocks would concat to a columnless
-                # table — drop them; they contribute nothing anyway
+                # skips the map fn on empty batches), and a concat of
+                # only-empty blocks would be a columnless table — drop
+                # them; they contribute nothing anyway
                 continue
             refs.append(ref)
             sizes.append(meta.size_bytes or 0)
-    if not refs:
-        return []
-    total = sum(sizes)
-    n_tasks = max(1, min(len(refs),
-                         max(min_tasks, int(total // target_bytes))))
-    groups: list[list] = [[] for _ in range(n_tasks)]
-    order = np.argsort(sizes)[::-1]          # greedy largest-first
-    load = np.zeros(n_tasks)
-    for i in order:
+    return refs, sizes
+
+
+def _map_groups(refs: list, sizes: list, P: int) -> list[list]:
+    """Greedy largest-first grouping of block refs into map-task work
+    lists: at least P groups, at most one per block, and none much
+    above ``_MAP_GROUP_BYTES``."""
+    n = min(len(refs), max(P, -(-sum(sizes) // _MAP_GROUP_BYTES)))
+    groups: list[list] = [[] for _ in range(n)]
+    load = np.zeros(n)
+    for i in np.argsort(sizes)[::-1]:
         g = int(np.argmin(load))
         groups[g].append(refs[i])
         load[g] += sizes[i]
     return [g for g in groups if g]
 
 
-# -- exchange tasks (module-level: registered once, unpickled with the
-#    package so _malloc tuning is active inside them) -----------------------
-
 @ray.remote
-def _nd_split_bands(P: int, *blocks) -> tuple:
+def _nd_split(part_of, P: int, *blocks) -> tuple:
+    """Map side of every exchange: one block group → P sub-tables
+    (one stable argsort by partition id + P zero-copy slices)."""
     prefault_arena()
     t = pa.concat_tables(blocks)
-    band = t["band"].to_numpy().astype(np.uint64)
-    key = t["key"].to_numpy().astype(np.uint64)
-    with np.errstate(over="ignore"):
-        h = (band * _GOLD) ^ (key * _GOLD2)
-        h ^= h >> np.uint64(29)
-    return _split_table(t, (h % np.uint64(P)).astype(np.int64), P)
-
-
-@ray.remote
-def _nd_expand(P: int, max_bucket: int, *parts) -> tuple:
-    """Reduce side of exchange 1 fused with the map side of exchange 2:
-    expand this partition's complete buckets, locally dedup, and
-    pre-partition the packed pairs by pair hash."""
-    prefault_arena()
-    g = pa.concat_tables(parts)
-    lo, hi = _expand_runs(g["band"].to_numpy().astype(np.int64),
-                          g["key"].to_numpy(), g["doc_id"].to_numpy(),
-                          max_bucket=max_bucket)
-    packed = _pack_pairs(lo, hi)
-    if packed.ndim == 1:                       # narrow: one-word dedup
-        packed = np.unique(packed)
-        lo, hi = _unpack_pairs(packed)
-    else:                                      # wide (>2^32 doc ids)
-        lo, hi = _dedup_pairs(lo, hi)
-        packed = _pack_pairs(lo, hi)
-    ids = (_pair_hash(lo, hi) % np.uint64(P)).astype(np.int64)
+    ids = part_of(t, P)
     order = np.argsort(ids, kind="stable")
-    sp = packed[order]
     bounds = np.searchsorted(ids[order], np.arange(P + 1))
-    return tuple(np.ascontiguousarray(sp[bounds[p]:bounds[p + 1]])
+    t = t.take(pa.array(order)).combine_chunks()
+    return tuple(t.slice(int(bounds[p]), int(bounds[p + 1] - bounds[p]))
                  for p in range(P))
+
+
+def _partitioned(*sides, P: int = 0) -> list[list[list]]:
+    """The hash exchange behind every wide step here.  ``sides`` are
+    (Dataset, part_of) pairs; rows of every side go to partition
+    ``part_of(table, P)``.  Returns, for each partition, one list of
+    Arrow-table refs per side: the caller's reduce task takes them.
+
+    P is decided here, on the driver, from the inputs' total block
+    bytes — ceil(bytes / _PARTITION_BYTES) clamped to [1, 64] — unless
+    a persisted layout pins it.  At P = 1 the reduce gets the input
+    blocks themselves and no split task runs."""
+    blocks = [_blocks(ds) for ds, _ in sides]
+    if not P:
+        total = sum(sum(sizes) for _, sizes in blocks)
+        P = int(min(_MAX_PARTITIONS, max(1, -(-total // _PARTITION_BYTES))))
+    if P == 1:
+        return [[refs for refs, _ in blocks]]
+    splits = [[_nd_split.options(num_returns=P).remote(part_of, P, *g)
+               for g in _map_groups(refs, sizes, P)]
+              for (refs, sizes), (_, part_of) in zip(blocks, sides)]
+    return [[[s[p] for s in side] for side in splits] for p in range(P)]
+
+
+# -- per-partition functions and the reduce task -------------------------
+
+_PAIR_SCHEMA = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64())])
+
+
+def _pair_table(lo: np.ndarray, hi: np.ndarray) -> pa.Table:
+    """Distinct (lo, hi) rows as a (doc_a, doc_b) table: one-word
+    np.unique over the packed pair when every id fits 32 bits, lexsort
+    dedup beyond that."""
+    packed = _pack_pairs(lo, hi)
+    if packed.ndim == 1:
+        lo, hi = _unpack_pairs(np.unique(packed))
+    else:
+        lo, hi = _dedup_pairs(lo, hi)
+    return pa.table({"doc_a": pa.array(lo, pa.int64()),
+                     "doc_b": pa.array(hi, pa.int64())})
+
+
+def _expand_pairs(max_bucket: int, bipartite: bool,
+                  t: pa.Table) -> pa.Table:
+    """Partition fn of the banding exchange: expand this partition's
+    complete (band, key) buckets into locally deduplicated pairs —
+    (lo, hi), or ordered (query, corpus) when ``bipartite``."""
+    cols = [t[c].to_numpy().astype(np.int64)
+            for c in ("band", "key", "doc_id")]
+    if bipartite:
+        return _pair_table(*_expand_bipartite_runs(
+            *cols, t["is_q"].to_numpy().astype(bool),
+            max_bucket=max_bucket))
+    return _pair_table(*_expand_runs(*cols, max_bucket=max_bucket))
+
+
+def _unique_pairs(t: pa.Table) -> pa.Table:
+    """Partition fn of the pair exchange: a pair's hash pins it to
+    exactly one partition, so partition-local dedup is global."""
+    return _pair_table(t["doc_a"].to_numpy(), t["doc_b"].to_numpy())
 
 
 def _expand_bipartite_runs(band: np.ndarray, key: np.ndarray,
@@ -255,8 +324,8 @@ def _expand_bipartite_runs(band: np.ndarray, key: np.ndarray,
     """Within-bucket query x corpus expansion over lexsorted rows
     (queries sort to each run's tail); returns ORDERED (query, corpus)
     int64 pair columns, self-pairs excluded.  Full int64 id space —
-    transport packing is ``_pack_pairs``' concern.  The Python loop
-    runs only over buckets that contain a query."""
+    packing is ``_pack_pairs``' concern.  The Python loop runs only
+    over buckets that contain a query."""
     qs = np.empty(0, dtype=np.int64)
     cs = np.empty(0, dtype=np.int64)
     if not len(band):
@@ -296,74 +365,41 @@ def _expand_bipartite_runs(band: np.ndarray, key: np.ndarray,
 
 
 @ray.remote
-def _nd_expand_bipartite(P: int, max_bucket: int, *parts) -> tuple:
-    """Reduce side of the BIPARTITE bucket exchange (query x corpus —
-    the many-queries ANN-LSH scale path): within each complete
-    (band, key) bucket, pair every query member with every non-self
-    corpus member.  Ordered pairs (query, corpus) — no lo/hi
-    canonicalization — then local dedup + pair-hash pre-partition,
-    exactly like ``_nd_expand``.  The loop below runs only over
-    buckets that CONTAIN a query (≤ tables x queries / P iterations),
-    never over the corpus."""
+def _nd_apply(fn, schema: pa.Schema, counts: tuple, *parts) -> pa.Table:
+    """Reduce side of every exchange: ``fn`` applied ONCE to the whole
+    partition, one concatenated table per side (``counts`` parts each;
+    None for a side with no rows) — fn must itself handle a mix of keys,
+    e.g. a per-key pandas merge/groupby inside.  The partition hash
+    pins every key to exactly one partition, so partition-local
+    per-key results are global.  An empty first side or result comes
+    back as the declared ``schema``."""
     prefault_arena()
-    g = pa.concat_tables(parts)
-    qs, cs = _expand_bipartite_runs(
-        g["band"].to_numpy().astype(np.int64),
-        g["key"].to_numpy().astype(np.int64),
-        g["doc_id"].to_numpy().astype(np.int64),
-        g["is_q"].to_numpy().astype(bool), max_bucket=max_bucket)
-    packed = _pack_pairs(qs, cs)
-    if packed.ndim == 1:                             # narrow ids
-        packed = np.unique(packed)
-        qs, cs = _unpack_pairs(packed)
-    else:                                            # >2^32 ids
-        qs, cs = _dedup_pairs(qs, cs)
-        packed = _pack_pairs(qs, cs)
-    ids = (_pair_hash(qs, cs) % np.uint64(P)).astype(np.int64)
-    order = np.argsort(ids, kind="stable")
-    sp = packed[order]
-    bounds = np.searchsorted(ids[order], np.arange(P + 1))
-    return tuple(np.ascontiguousarray(sp[bounds[p]:bounds[p + 1]])
-                 for p in range(P))
+    bounds = np.cumsum((0,) + counts)
+    sides = [_concat(parts[i:j]) for i, j in zip(bounds[:-1], bounds[1:])]
+    out = fn(*sides) if sides[0] is not None else None
+    return out if out is not None and len(out) else schema.empty_table()
 
 
-@ray.remote
-def _nd_pair_unique(*parts) -> pa.Table:
-    """Reduce side of exchange 2: global pair dedup within a partition
-    (a pair's hash pins it to exactly one partition)."""
-    prefault_arena()
-    arrs = [a for a in parts if len(a)]
-    if not arrs:
-        return pa.table({"doc_a": pa.array([], pa.int64()),
-                         "doc_b": pa.array([], pa.int64())})
-    if all(a.ndim == 1 for a in arrs):         # narrow: one-word dedup
-        p = np.unique(np.concatenate(arrs))
-        lo, hi = _unpack_pairs(p)
-    else:   # ≥1 wide part: normalize every part to (lo, hi) columns
-        los, his = zip(*(_unpack_pairs(a) for a in arrs))
-        lo, hi = _dedup_pairs(np.concatenate(los), np.concatenate(his))
-    return pa.table({"doc_a": pa.array(lo), "doc_b": pa.array(hi)})
+def _apply(fn, schema: pa.Schema, *sides):
+    """``fn`` on each partition of the (Dataset, part_of) ``sides``."""
+    import ray.data as rd
+    return rd.from_arrow_refs([
+        _nd_apply.remote(fn, schema, tuple(map(len, parts)), *sum(parts, []))
+        for parts in _partitioned(*sides)])
 
 
-@ray.remote
-def _nd_split_by_key(col: str, P: int, *blocks) -> tuple:
-    prefault_arena()
-    t = pa.concat_tables(blocks)
-    return _split_table(t, _key_bucket(t[col].to_numpy(), P), P)
+def partition_apply(ds, key_col: str, fn, schema: pa.Schema):
+    """Like group_apply, but ``fn`` runs once per hash PARTITION, not
+    once per key group — for vectorized fns that already group
+    internally (pandas merge / groupby).  High-cardinality keys (a
+    vocabulary) pay 1 fn call per partition instead of 1 per key."""
+    return _apply(fn, schema, (ds, functools.partial(_key_part, key_col)))
 
 
-@ray.remote
-def _nd_group_apply(key_col: str, fn, schema: pa.Schema,
-                    *parts) -> pa.Table:
-    """Reduce side of group_apply: one stable argsort per partition,
-    then ``fn`` applied to each contiguous same-key run.  The key hash
-    pins every key to exactly one partition, so runs are whole
-    groups."""
-    prefault_arena()
-    parts = [p for p in parts if len(p)]
-    if not parts:
-        return schema.empty_table()
-    t = pa.concat_tables(parts)
+def _apply_runs(key_col: str, fn, t: pa.Table) -> pa.Table:
+    """group_apply's partition fn: one stable argsort, then ``fn`` on
+    each contiguous same-key run — a whole group, since the key hash
+    pins every key to one partition."""
     k = t[key_col].to_numpy().astype(np.int64)
     order = np.argsort(k, kind="stable")
     t = t.take(pa.array(order)).combine_chunks()
@@ -371,78 +407,26 @@ def _nd_group_apply(key_col: str, fn, schema: pa.Schema,
     bounds = np.flatnonzero(ks[1:] != ks[:-1]) + 1
     starts = np.concatenate(([0], bounds))
     ends = np.concatenate((bounds, [len(ks)]))
-    outs = [fn(t.slice(int(s), int(e - s)))
-            for s, e in zip(starts, ends)]
-    return pa.concat_tables(outs) if outs else schema.empty_table()
+    return pa.concat_tables([fn(t.slice(int(s), int(e - s)))
+                             for s, e in zip(starts, ends)])
 
 
-@ray.remote
-def _nd_partition_apply(fn, schema: pa.Schema, *parts) -> pa.Table:
-    """Reduce side of partition_apply: ``fn`` applied ONCE to the
-    whole concatenated partition (fn must itself handle a mix of keys
-    — e.g. a per-key pandas merge/groupby inside).  The key hash pins
-    every key to exactly one partition, so partition-local per-key
-    results are global."""
-    prefault_arena()
-    parts = [p for p in parts if len(p)]
-    if not parts:
-        return schema.empty_table()
-    out = fn(pa.concat_tables(parts))
-    return out if len(out) else schema.empty_table()
-
-
-def partition_apply(ds, key_col: str, fn, schema: pa.Schema,
-                    n_buckets: int = 32):
-    """Like group_apply, but ``fn`` runs once per hash PARTITION, not
-    once per key group — for vectorized fns that already group
-    internally (pandas merge / groupby).  High-cardinality keys (a
-    vocabulary) pay 1 fn call per partition instead of 1 per key."""
-    import ray.data as rd
-    P = max(2, n_buckets)
-    groups = _grouped_block_refs(ds)
-    if not groups:
-        return rd.from_arrow(schema.empty_table())
-    splits = [_nd_split_by_key.options(num_returns=P)
-              .remote(key_col, P, *g) for g in groups]
-    outs = [_nd_partition_apply.remote(fn, schema,
-                                       *(s[p] for s in splits))
-            for p in range(P)]
-    return rd.from_arrow_refs(outs)
-
-
-def group_apply(ds, key_col: str, fn, schema: pa.Schema,
-                n_buckets: int = 32):
+def group_apply(ds, key_col: str, fn, schema: pa.Schema):
     """Sort-free distributed map_groups over an int64 key with a
-    DECLARED output schema: two-stage hash exchange (split each block
-    by key hash, one reduce per partition applies ``fn`` to every
-    whole group).  Unlike Dataset.groupby().map_groups() this never
-    range-sorts the dataset and never emits schema-less empty blocks
-    (Ray's sort shuffle produces those whenever partitions outnumber
-    distinct keys, tripping the RefBundle schema warning)."""
-    import ray.data as rd
-    P = max(2, n_buckets)
-    groups = _grouped_block_refs(ds)
-    if not groups:
-        return rd.from_arrow(schema.empty_table())
-    splits = [_nd_split_by_key.options(num_returns=P)
-              .remote(key_col, P, *g) for g in groups]
-    outs = [_nd_group_apply.remote(key_col, fn, schema,
-                                   *(s[p] for s in splits))
-            for p in range(P)]
-    return rd.from_arrow_refs(outs)
+    DECLARED output schema: ``partition_apply`` whose partition fn
+    applies ``fn`` to every whole group.  Unlike
+    Dataset.groupby().map_groups() this never range-sorts the dataset
+    and never emits schema-less empty blocks (Ray's sort shuffle
+    produces those whenever partitions outnumber distinct keys,
+    tripping the RefBundle schema warning)."""
+    return partition_apply(ds, key_col,
+                           functools.partial(_apply_runs, key_col, fn),
+                           schema)
 
 
-@ray.remote
-def _nd_min_by_key(key_col: str, val_col: str, *parts) -> pa.Table:
-    """Reduce side of a groupby-min exchange: per distinct key, the
-    minimum value — one lexsort + adjacent-diff per partition, no
-    Python per-group loop.  The key hash pins every key to exactly one
-    partition, so partition-local minima are global minima."""
-    prefault_arena()
-    t = pa.concat_tables(parts)
-    if not len(t):
-        return pa.table({key_col: pa.array([], pa.int64()),
-                         val_col: pa.array([], pa.int64())})
+def _min_rows(key_col: str, val_col: str, t: pa.Table) -> pa.Table:
+    """Per distinct key, the minimum value — one lexsort +
+    adjacent-diff, no Python per-group loop."""
     k = t[key_col].to_numpy().astype(np.int64)
     v = t[val_col].to_numpy().astype(np.int64)
     order = np.lexsort((v, k))
@@ -453,58 +437,42 @@ def _nd_min_by_key(key_col: str, val_col: str, *parts) -> pa.Table:
                      val_col: pa.array(v[first])})
 
 
-def min_by_key(ds, key_col: str, val_col: str, n_buckets: int = 32):
+def min_by_key(ds, key_col: str, val_col: str):
     """Distributed groupby-min over (key, value) int64 rows via the
-    manual hash exchange (no sort-based groupby: hash partitioning
-    moves the rows without ordering them).  Returns a Dataset with one
-    row per distinct key.  Per-reduce memory is O(rows/P)."""
-    import ray.data as rd
-    P = max(2, n_buckets)
-    groups = _grouped_block_refs(ds)
-    if not groups:
-        return rd.from_arrow(pa.table({key_col: pa.array([], pa.int64()),
-                                       val_col: pa.array([], pa.int64())}))
-    splits = [_nd_split_by_key.options(num_returns=P)
-              .remote(key_col, P, *g) for g in groups]
-    outs = [_nd_min_by_key.remote(key_col, val_col,
-                                  *(s[p] for s in splits))
-            for p in range(P)]
-    return rd.from_arrow_refs(outs)
+    hash exchange (no sort-based groupby: hash partitioning moves the
+    rows without ordering them).  Returns a Dataset with one row per
+    distinct key.  Per-reduce memory is O(rows/P)."""
+    schema = pa.schema([(key_col, pa.int64()), (val_col, pa.int64())])
+    return partition_apply(ds, key_col,
+                           functools.partial(_min_rows, key_col, val_col),
+                           schema)
 
 
-@ray.remote
-def _nd_hash_join(left_on: str, right_on: str, how: str, suffix: str,
-                  schema: pa.Schema, n_left: int, *parts) -> pa.Table:
-    """Reduce side of ``hash_join``: both sides' partition-p slices
-    arrive together (left slices first, ``n_left`` of them), one
-    pandas merge resolves the whole partition.  The key hash pins
-    every key to exactly one partition, so partition-local joins are
-    global."""
-    prefault_arena()
+def _join_tables(left_on: str, right_on: str, how: str, suffix: str,
+                 schema: pa.Schema, lt: pa.Table, rt) -> pa.Table | None:
+    """Partition fn of ``hash_join``: one pandas merge resolves the
+    whole partition (``rt`` is None when no right row landed here)."""
     import pandas as pd
 
-    def _pdf(tables):
-        # int64 → pandas nullable Int64: a left-join miss must become
-        # <NA>, NOT a float64 NaN — float promotion silently corrupts
-        # payloads > 2^53 (doc-id hashes span the full int64 range)
-        return pa.concat_tables(tables).to_pandas(
-            types_mapper={pa.int64(): pd.Int64Dtype()}.get)
+    def _pdf(t):
+        # int64/float64 → pandas nullable dtypes: a left-join miss must
+        # become <NA>, never NaN — float promotion silently corrupts
+        # int payloads > 2^53 (doc-id hashes span the full int64
+        # range), and a NaN would come back as a value, not a null
+        return t.to_pandas(types_mapper={
+            pa.int64(): pd.Int64Dtype(),
+            pa.float64(): pd.Float64Dtype()}.get)
 
-    lt = [p for p in parts[:n_left] if len(p)]
-    rt = [p for p in parts[n_left:] if len(p)]
-    if not lt:
-        return schema.empty_table()
     ldf = _pdf(lt)
     if how in ("semi", "anti"):
-        keys = (pc.drop_null(pa.concat_tables(rt)[right_on])
-                .to_numpy(zero_copy_only=False)
-                if rt else np.empty(0, np.int64))
+        keys = (pc.drop_null(rt[right_on]).to_numpy(zero_copy_only=False)
+                if rt is not None else np.empty(0, np.int64))
         hit = np.isin(ldf[left_on].to_numpy(np.int64), np.unique(keys))
         out = ldf[~hit] if how == "anti" else ldf[hit]
     else:
-        if not rt:
+        if rt is None:
             if how == "inner":
-                return schema.empty_table()
+                return None
             out = ldf.copy()                    # left join, no matches
             for name in schema.names:
                 if name not in out.columns:
@@ -526,8 +494,7 @@ def _nd_hash_join(left_on: str, right_on: str, how: str, suffix: str,
 
 
 def hash_join(left, right, left_on: str, right_on: str | None = None,
-              how: str = "inner", n_buckets: int = 32,
-              suffix: str = "_r"):
+              how: str = "inner", suffix: str = "_r"):
     """General co-partitioned hash join of two Datasets with
     ARBITRARY (different) schemas on an int64 key — the library
     primitive behind the repo's tagged-union join queries, exposed
@@ -536,26 +503,24 @@ def hash_join(left, right, left_on: str, right_on: str | None = None,
     ``how``: 'inner' | 'left' | 'semi' | 'anti'.  Inner/left emit
     left columns + right payload columns (right key dropped when
     named differently; clashing payload names get ``suffix``); with
-    'left', unmatched right-side int columns surface as Arrow nulls
-    (never NaN-floats — the output schema is pinned from the input
-    schemas, identical across partitions).  Semi/anti emit left rows
-    verbatim.
+    'left', unmatched right-side int and float columns surface as
+    Arrow nulls (never NaN — the output schema is pinned from the
+    input schemas, identical across partitions).  Semi/anti emit left
+    rows verbatim.
 
-    Scale shape: one sort-free hash exchange per side (each input
-    block splits by key hash; reduce p merges both sides' p-slices
-    with one vectorized pandas merge) — no broadcast, no global sort;
-    per-reduce memory is O(rows/P + matches/P).  Skew caveat: a key's
-    ENTIRE match set lands in one reduce — pre-aggregate hot keys
-    (the per-batch-combiner pattern) before joining, as the repo's
-    reporting queries do."""
-    import ray.data as rd
+    Scale shape: one sort-free hash exchange for both sides (each
+    input block splits by key hash; reduce p merges both sides'
+    p-slices with one vectorized pandas merge) — no broadcast, no
+    global sort; per-reduce memory is O(rows/P + matches/P).  Skew
+    caveat: a key's ENTIRE match set lands in one reduce —
+    pre-aggregate hot keys (the per-batch-combiner pattern) before
+    joining, as the repo's reporting queries do."""
     if how not in ("inner", "left", "semi", "anti"):
         raise ValueError(f"unsupported how={how!r}")
     right_on = right_on or left_on
-    P = max(2, n_buckets)
+    left, right = left.materialize(), right.materialize()
 
-    lschema = left.schema()
-    lschema = pa.schema(list(zip(lschema.names, lschema.types)))
+    lschema = _arrow_schema(left)
     if how in ("semi", "anti"):
         out_schema = lschema
     else:
@@ -578,33 +543,19 @@ def hash_join(left, right, left_on: str, right_on: str | None = None,
             taken.add(out)
         out_schema = pa.schema(fields)
 
-    lgroups = _grouped_block_refs(left)
-    rgroups = _grouped_block_refs(right)
-    if not lgroups:
-        return rd.from_arrow(out_schema.empty_table())
-    lsplits = [_nd_split_by_key.options(num_returns=P)
-               .remote(left_on, P, *g) for g in lgroups]
-    rsplits = [_nd_split_by_key.options(num_returns=P)
-               .remote(right_on, P, *g) for g in rgroups]
-    outs = [_nd_hash_join.remote(
-        left_on, right_on, how, suffix, out_schema, len(lsplits),
-        *(s[p] for s in lsplits), *(s[p] for s in rsplits))
-        for p in range(P)]
-    return rd.from_arrow_refs(outs)
+    return _apply(functools.partial(_join_tables, left_on, right_on, how,
+                                    suffix, out_schema), out_schema,
+                  (left, functools.partial(_key_part, left_on)),
+                  (right, functools.partial(_key_part, right_on)))
 
 
-@ray.remote
-def _nd_attach(side: str, sig_col: str, out_col: str, n_pair_parts: int,
-               *parts) -> pa.Table:
-    """Reduce side of the partitioned hash join: attach ``sig_col`` of
-    the ``side`` doc onto each pair row (inner-join semantics: pairs
+def _attach(side: str, sig_col: str, out_col: str, pairs: pa.Table,
+            sigs) -> pa.Table | None:
+    """Partition fn of ``attach_column``: attach ``sig_col`` of the
+    ``side`` doc onto each pair row (inner-join semantics: pairs
     whose key is absent from the signature side are dropped)."""
-    prefault_arena()
-    pairs = pa.concat_tables(parts[:n_pair_parts])
-    sigs = pa.concat_tables(parts[n_pair_parts:])
-    if not len(pairs):
-        return pairs.append_column(
-            out_col, pa.nulls(0, sigs.schema.field(sig_col).type))
+    if sigs is None:
+        return None
     keys = sigs["doc_id"].to_numpy()
     order = np.argsort(keys)
     ks = keys[order]
@@ -612,42 +563,36 @@ def _nd_attach(side: str, sig_col: str, out_col: str, n_pair_parts: int,
     pk = pairs[side].to_numpy()
     idx = np.searchsorted(ks, pk)
     ok = idx < len(ks)
-    idx = np.minimum(idx, max(len(ks) - 1, 0))
-    ok &= (ks[idx] == pk) if len(ks) else False
+    idx = np.minimum(idx, len(ks) - 1)
+    ok &= ks[idx] == pk
     out = pairs.filter(pa.array(ok))
     return out.append_column(out_col, vals.take(pa.array(idx[ok])))
 
 
 # -- public API -------------------------------------------------------------
 
-def candidate_pairs(sig_ds, n_buckets: int = 64, max_bucket: int = 0):
+def _pairs_exchange(sig_ds, max_bucket: int, bipartite: bool):
+    """Banding exchange (complete (band, key) buckets meet and expand)
+    then pair exchange (pairs found in several bands meet and dedup)."""
+    expand = functools.partial(_expand_pairs, max_bucket, bipartite)
+    pairs = _apply(expand, _PAIR_SCHEMA, (sig_ds, _band_part))
+    return _apply(_unique_pairs, _PAIR_SCHEMA, (pairs, _pair_part))
+
+
+def candidate_pairs(sig_ds, max_bucket: int = 0):
     """(band, key, doc_id) Dataset → distinct candidate-pair Dataset
     with columns (doc_a, doc_b).
 
-    Manual two-stage hash exchange (module docstring): exchange 1
-    co-locates complete (band, key) buckets and expands them
-    vectorized; exchange 2 dedups pairs that surfaced in several bands
-    with one np.unique per pair partition.  Nothing touches the driver
-    and no task holds more than one partition.  ``max_bucket`` drops
+    Two hash exchanges (module docstring): the first co-locates
+    complete (band, key) buckets and expands them vectorized; the
+    second dedups pairs that surfaced in several bands with one
+    np.unique per pair partition.  Nothing touches the driver and no
+    task holds more than one partition.  ``max_bucket`` drops
     degenerate hot buckets (stop-bucket capping under skew)."""
-    import ray.data as rd
-    groups = _grouped_block_refs(sig_ds)
-    P = max(2, n_buckets)
-    if not groups:
-        return rd.from_arrow(pa.table({"doc_a": pa.array([], pa.int64()),
-                                       "doc_b": pa.array([], pa.int64())}))
-    splits = [_nd_split_bands.options(num_returns=P).remote(P, *g)
-              for g in groups]
-    expanded = [_nd_expand.options(num_returns=P)
-                .remote(P, max_bucket, *(s[p] for s in splits))
-                for p in range(P)]
-    finals = [_nd_pair_unique.remote(*(e[p] for e in expanded))
-              for p in range(P)]
-    return rd.from_arrow_refs(finals)
+    return _pairs_exchange(sig_ds, max_bucket, bipartite=False)
 
 
-def bipartite_candidate_pairs(sig_ds, n_buckets: int = 64,
-                              max_bucket: int = 0):
+def bipartite_candidate_pairs(sig_ds, max_bucket: int = 0):
     """(band, key, doc_id, is_q) Dataset → distinct ORDERED candidate
     pairs (doc_a = query, doc_b = corpus member) — the asymmetric
     variant of :func:`candidate_pairs` for many-queries ANN search:
@@ -657,58 +602,31 @@ def bipartite_candidate_pairs(sig_ds, n_buckets: int = 64,
     collided in several tables.  Same partitioning contract, same
     stop-bucket cap (``max_bucket`` bounds the CORPUS side of a
     bucket), nothing touches the driver."""
-    import ray.data as rd
-    groups = _grouped_block_refs(sig_ds)
-    P = max(2, n_buckets)
-    if not groups:
-        return rd.from_arrow(pa.table({"doc_a": pa.array([], pa.int64()),
-                                       "doc_b": pa.array([], pa.int64())}))
-    splits = [_nd_split_bands.options(num_returns=P).remote(P, *g)
-              for g in groups]
-    expanded = [_nd_expand_bipartite.options(num_returns=P)
-                .remote(P, max_bucket, *(s[p] for s in splits))
-                for p in range(P)]
-    finals = [_nd_pair_unique.remote(*(e[p] for e in expanded))
-              for p in range(P)]
-    return rd.from_arrow_refs(finals)
+    return _pairs_exchange(sig_ds, max_bucket, bipartite=True)
 
 
-def attach_column(pair_ds, sig_ds, sig_col: str, side: str, out_col: str,
-                  n_buckets: int = 32):
+def attach_column(pair_ds, sig_ds, sig_col: str, side: str, out_col: str):
     """Partitioned hash join: bring ``sig_col`` of the ``side`` doc onto
     each pair row.  Both sides split by the same coarse key hash; each
     join task sees one co-partition (state O(rows/P), never a broadcast
     key set).  Inner-join semantics: pairs whose key is absent from
-    sig_ds are dropped."""
-    import ray.data as rd
-    P = max(2, n_buckets)
-    pair_groups = _grouped_block_refs(pair_ds)
-    sig_groups = _grouped_block_refs(sig_ds)
-    if not pair_groups or not sig_groups:
-        empty = pa.table({"doc_a": pa.array([], pa.int64()),
-                          "doc_b": pa.array([], pa.int64())})
-        return rd.from_arrow(empty)
-    psplits = [_nd_split_by_key.options(num_returns=P).remote(side, P, *g)
-               for g in pair_groups]
-    ssplits = [_nd_split_by_key.options(num_returns=P)
-               .remote("doc_id", P, *g) for g in sig_groups]
-    outs = [_nd_attach.remote(side, sig_col, out_col, len(psplits),
-                              *(s[p] for s in psplits),
-                              *(s[p] for s in ssplits))
-            for p in range(P)]
-    return rd.from_arrow_refs(outs)
+    sig_ds are dropped.  Output: the pair table's columns + ``out_col``,
+    also when either side is empty."""
+    pair_ds, sig_ds = pair_ds.materialize(), sig_ds.materialize()
+    schema = _arrow_schema(pair_ds).append(
+        _arrow_schema(sig_ds).field(sig_col).with_name(out_col))
+    return _apply(functools.partial(_attach, side, sig_col, out_col),
+                  schema,
+                  (pair_ds, functools.partial(_key_part, side)),
+                  (sig_ds, functools.partial(_key_part, "doc_id")))
 
 
-def join_signatures(pair_ds, sig_ds, sig_col: str,
-                    num_partitions: int = 32):
+def join_signatures(pair_ds, sig_ds, sig_col: str):
     """Attach a per-doc signature column to both sides of a pair table
-    via two partitioned hash joins (the no-broadcast verify path).
-    ``num_partitions`` is the partition count per join."""
+    via two partitioned hash joins (the no-broadcast verify path)."""
     sig_ds = sig_ds.materialize()   # read once, feed both attaches
-    a = attach_column(pair_ds, sig_ds, sig_col, "doc_a", f"{sig_col}_a",
-                      n_buckets=num_partitions)
-    return attach_column(a, sig_ds, sig_col, "doc_b", f"{sig_col}_b",
-                         n_buckets=num_partitions)
+    a = attach_column(pair_ds, sig_ds, sig_col, "doc_a", f"{sig_col}_a")
+    return attach_column(a, sig_ds, sig_col, "doc_b", f"{sig_col}_b")
 
 
 def hamming_band_keys(values: np.ndarray, n_bands: int,

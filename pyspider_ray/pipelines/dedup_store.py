@@ -181,8 +181,8 @@ def build(ds, artifact_dir: str, n_buckets: int = _N_BUCKETS,
     stats = group_apply(
         digested, "bucket",
         functools.partial(write_group, vdir=tmp_vdir),
-        pa.schema([("bucket", pa.int64()), ("n_keys", pa.int64())]),
-        n_buckets=n_buckets).take_all()
+        pa.schema([("bucket", pa.int64()),
+                   ("n_keys", pa.int64())])).take_all()
 
     manifest = {
         "version": version, "n_buckets": n_buckets, "source": source,
@@ -264,8 +264,7 @@ def refresh(new_ds, artifact_dir: str, update: bool = True):
                           new_vdir=tmp_vdir if update else None),
         pa.schema([("doc_id", pa.int64()),
                    ("content_hash", pa.string()),
-                   ("bucket", pa.int64())]),
-        n_buckets=n_buckets).materialize()
+                   ("bucket", pa.int64())])).materialize()
 
     manifest = dict(prior)
     if update:

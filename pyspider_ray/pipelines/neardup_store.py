@@ -16,9 +16,12 @@ re-tokenizing a byte of history text.
              candidates, and the exact verifier joins word blobs from
              the new batch + the artifact — tau decides.  History
              TEXT is never touched; what re-flows is the fixed-width
-             index (<<1% of corpus bytes), and the on-disk bucket
-             layout already matches the exchange hash so a
-             bucket-pinned scheduler can skip even that re-route.
+             index (<<1% of corpus bytes).  The on-disk buckets use
+             the banding exchange's routing hash at P = n_buckets,
+             so they match the exchange's partitions only when the
+             exchange sizes itself to that P (64 by default: inputs
+             of 64 x ``neardup._PARTITION_BYTES`` or more); only then
+             could a bucket-pinned scheduler skip the re-route.
 
 Same banding parameters as `q_jaccard_near_dup` (21 bands x 6 rows:
 per-pair miss probability ~1.3e-7 at tau=0.9, so refresh output
@@ -30,6 +33,7 @@ near-duplicate CONTENT instead of exact URLs.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import shutil
@@ -38,34 +42,11 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-from ..neardup import (_GOLD, _GOLD2, _grouped_block_refs, _key_bucket,
+from ..neardup import (_band_part, _key_part, _partitioned,
                        bipartite_candidate_pairs, join_signatures,
                        prefault_arena)
 
 N_BUCKETS = 64
-
-
-def _band_bucket(band: np.ndarray, key: np.ndarray,
-                 P: int) -> np.ndarray:
-    """The banding exchange's routing hash (_nd_split_bands) — the
-    artifact persists buckets in exactly this layout."""
-    with np.errstate(over="ignore"):
-        h = (band.astype(np.uint64) * _GOLD) ^ (key.astype(np.uint64)
-                                                * _GOLD2)
-        h ^= h >> np.uint64(29)
-    return (h % np.uint64(P)).astype(np.int64)
-
-
-@ray.remote
-def _split_generic(ids_of, P: int, *blocks) -> tuple:
-    prefault_arena()
-    t = pa.concat_tables(blocks)
-    ids = ids_of(t)
-    order = np.argsort(ids, kind="stable")
-    bounds = np.searchsorted(ids[order], np.arange(P + 1))
-    taken = t.take(pa.array(order)).combine_chunks()
-    return tuple(taken.slice(int(bounds[p]), int(bounds[p + 1] - bounds[p]))
-                 for p in range(P))
 
 
 @ray.remote
@@ -78,17 +59,12 @@ def _write_bucket(path: str, schema: pa.Schema, *parts) -> int:
     return len(t)
 
 
-def _write_partitioned(ds, out_dir: str, ids_of, schema: pa.Schema,
+def _write_partitioned(ds, out_dir: str, part_of, schema: pa.Schema,
                        P: int = N_BUCKETS) -> int:
     os.makedirs(out_dir, exist_ok=True)
-    groups = _grouped_block_refs(ds)
-    if not groups:
-        return 0
-    splits = [_split_generic.options(num_returns=P)
-              .remote(ids_of, P, *g) for g in groups]
     rows = ray.get([_write_bucket.remote(
-        os.path.join(out_dir, f"bucket={p:04d}.parquet"), schema,
-        *(s[p] for s in splits)) for p in range(P)])
+        os.path.join(out_dir, f"bucket={p:04d}.parquet"), schema, *parts)
+        for p, (parts,) in enumerate(_partitioned((ds, part_of), P=P))])
     return sum(rows)
 
 
@@ -114,14 +90,11 @@ def build(ds, art_dir: str, n_buckets: int = N_BUCKETS) -> dict:
     words_schema = pa.schema([("doc_id", pa.int64()),
                               ("words", pa.binary())])
     n_band_rows = _write_partitioned(
-        bands, os.path.join(tmp, "bands"),
-        lambda t: _band_bucket(t["band"].to_numpy(),
-                               t["key"].to_numpy(), n_buckets),
-        band_schema, n_buckets)
+        bands, os.path.join(tmp, "bands"), _band_part, band_schema,
+        n_buckets)
     n_docs = _write_partitioned(
         words, os.path.join(tmp, "words"),
-        lambda t: _key_bucket(t["doc_id"].to_numpy(), n_buckets),
-        words_schema, n_buckets)
+        functools.partial(_key_part, "doc_id"), words_schema, n_buckets)
     manifest = {"n_buckets": n_buckets, "n_docs": n_docs,
                 "n_band_rows": n_band_rows,
                 "bands": "21x6 minhash tau=0.9"}
@@ -191,8 +164,7 @@ def refresh(new_ds, art_dir: str):
 
     hist_words = _rd().read_parquet(os.path.join(art_dir, "words"))
     all_words = new_words.union(hist_words)
-    joined = join_signatures(pairs, all_words, "words",
-                             num_partitions=32).materialize()
+    joined = join_signatures(pairs, all_words, "words").materialize()
 
     def rename(b: pa.Table) -> pa.Table:
         return pa.table({"new_doc": b["doc_a"], "hist_doc": b["doc_b"]})

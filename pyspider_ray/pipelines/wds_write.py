@@ -34,7 +34,7 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-from ..neardup import _grouped_block_refs, prefault_arena
+from ..neardup import _partitioned, prefault_arena
 from .._io import read_table as _read
 
 SHARD_CHARS = 4096            # shard byte budget (chars stand in)
@@ -82,18 +82,10 @@ def bucket_offsets(sf_dir: str) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(totals)))[:-1]
 
 
-@ray.remote
-def _split_by_part(n_parts: int, *blocks) -> tuple:
-    """Map side of the range exchange: slice a block group into
-    n_parts contiguous-bucket ranges (part = bucket * P // 1024)."""
-    prefault_arena()
-    t = pa.concat_tables(blocks)
-    part = (t["bucket"].to_numpy() * n_parts) // N_BUCKETS
-    order = np.argsort(part, kind="stable")
-    bounds = np.searchsorted(part[order], np.arange(n_parts + 1))
-    taken = t.take(pa.array(order)).combine_chunks()
-    return tuple(taken.slice(int(bounds[p]), int(bounds[p + 1] - bounds[p]))
-                 for p in range(n_parts))
+def _range_part(t: pa.Table, n_parts: int) -> np.ndarray:
+    """Range exchange routing: n_parts contiguous-bucket ranges
+    (part = bucket * P // 1024)."""
+    return (t["bucket"].to_numpy() * n_parts) // N_BUCKETS
 
 
 @ray.remote
@@ -180,29 +172,21 @@ def run(sf_dir: str, out_dir: str, n_parts: int = 16,
     # the kill-resume drill (tests/test_wds_write.py) uses this to
     # exercise the REAL subprocess resume path deterministically
     fail_after = int(os.environ.get("GRAFT_WDS_FAIL_AFTER", "0"))
-    if fail_after and fail_after < len(todo):
-        offsets = bucket_offsets(sf_dir)
-        full = (_read(sf_dir, "documents", ["doc_id", "n_chars", "text"])
-                .map_batches(_keyed, batch_format="pyarrow"))
-        groups = _grouped_block_refs(full)
-        splits = [_split_by_part.options(num_returns=n_parts)
-                  .remote(n_parts, *g) for g in groups]
-        ray.get([_write_part.remote(p, out_dir, offsets,
-                                    *(s[p] for s in splits))
-                 for p in todo[:fail_after]])
-        raise RuntimeError(f"injected crash after {fail_after} "
-                           "partitions (GRAFT_WDS_FAIL_AFTER)")
+    crash = 0 < fail_after < len(todo)
+    if crash:
+        todo = todo[:fail_after]
     stats = []
     if todo:
         offsets = bucket_offsets(sf_dir)
         full = (_read(sf_dir, "documents", ["doc_id", "n_chars", "text"])
                 .map_batches(_keyed, batch_format="pyarrow"))
-        groups = _grouped_block_refs(full)
-        splits = [_split_by_part.options(num_returns=n_parts)
-                  .remote(n_parts, *g) for g in groups]
+        parts = _partitioned((full, _range_part), P=n_parts)
         stats = ray.get([_write_part.remote(p, out_dir, offsets,
-                                            *(s[p] for s in splits))
+                                            *parts[p][0])
                          for p in todo])
+    if crash:
+        raise RuntimeError(f"injected crash after {fail_after} "
+                           "partitions (GRAFT_WDS_FAIL_AFTER)")
     rows_written = sum(s["rows"] for s in stats)
     return {"sf_dir": sf_dir, "out_dir": out_dir, "n_parts": n_parts,
             "written_parts": len(todo), "skipped_parts": skipped,

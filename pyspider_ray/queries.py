@@ -430,8 +430,7 @@ def q_order_priority_count(sf_dir):
                      .map_batches(late_side, batch_format="pyarrow")))
     cnt_schema = pa.schema([("o_orderpriority", pa.string()),
                             ("n", pa.int64())])
-    return (partition_apply(tagged, "k", exists_count, cnt_schema,
-                            n_buckets=64)
+    return (partition_apply(tagged, "k", exists_count, cnt_schema)
             .groupby("o_orderpriority")
             .aggregate(Sum("n", alias_name="n_orders")))
 
@@ -509,8 +508,7 @@ def q_local_supplier_volume(sf_dir):
                       .map_batches(order_side, batch_format="pyarrow")))
     okeys = partition_apply(
         tagged1, "k", resolve_orders,
-        pa.schema([("okey", pa.int64()), ("cnat", pa.int64())]),
-        n_buckets=64)
+        pa.schema([("okey", pa.int64()), ("cnat", pa.int64())]))
 
     def okey_tag(b: pa.Table) -> pa.Table:
         return pa.table({"k": b["okey"],
@@ -559,8 +557,7 @@ def q_local_supplier_volume(sf_dir):
                       .map_batches(line_side, batch_format="pyarrow")))
     partials = partition_apply(
         tagged2, "k", same_nation_rollup,
-        pa.schema([("nat", pa.int64()), ("rev", pa.int64())]),
-        n_buckets=64)
+        pa.schema([("nat", pa.int64()), ("rev", pa.int64())]))
 
     def name_map(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -631,7 +628,7 @@ def q_shipping_priority(sf_dir):
                       .map_batches(order_rows, batch_format="pyarrow")))
     orders_kept = partition_apply(
         tagged1, "k", hit_orders,
-        pa.schema([("okey", pa.int64())]), n_buckets=64)
+        pa.schema([("okey", pa.int64())]))
 
     def okey_side(b: pa.Table) -> pa.Table:
         k = np.unique(b["okey"].to_numpy())
@@ -674,7 +671,7 @@ def q_shipping_priority(sf_dir):
                       .map_batches(rev_partials, batch_format="pyarrow")))
     rev_schema = pa.schema([("l_orderkey", pa.int64()),
                             ("revenue_c4", pa.int64())])
-    return (partition_apply(tagged2, "k", fold, rev_schema, n_buckets=64)
+    return (partition_apply(tagged2, "k", fold, rev_schema)
             .sort(["revenue_c4", "l_orderkey"], descending=[True, False])
             .limit(10))
 
@@ -1058,7 +1055,7 @@ def q_funnel_stages(sf_dir):
     partials = partition_apply(
         _read(sf_dir, "events", ["user_id", "event_type", "ts"])
         .map_batches(prep, batch_format="pyarrow"),
-        "user_id", fold, schema, n_buckets=32)
+        "user_id", fold, schema)
     return (partials.groupby(["stage", "event_type"])
             .aggregate(Sum("n_users", alias_name="n_users")))
 
@@ -1135,7 +1132,7 @@ def q_user_retention_cohorts(sf_dir):
     partials = partition_apply(
         _read(sf_dir, "events", ["user_id", "event_type", "ts"])
         .map_batches(prep, batch_format="pyarrow"),
-        "user_id", fold, schema, n_buckets=32)
+        "user_id", fold, schema)
     return (partials.groupby(["cohort_day", "offset_days"])
             .aggregate(Sum("n_users", alias_name="n_users")))
 
@@ -1180,7 +1177,7 @@ def q_window_p95_value(sf_dir):
     return partition_apply(
         _read(sf_dir, "events", ["ts", "value"])
         .map_batches(prep, batch_format="pyarrow"),
-        "win", fold, schema, n_buckets=32)
+        "win", fold, schema)
 
 
 def q_top_event_type_per_user(sf_dir):
@@ -1226,7 +1223,7 @@ def q_top_event_type_per_user(sf_dir):
     return partition_apply(
         _read(sf_dir, "events", ["user_id", "event_type"])
         .map_batches(counts, batch_format="pyarrow"),
-        "user_id", fold, schema, n_buckets=32)
+        "user_id", fold, schema)
 
 
 _PIVOT_PRIOS = ("1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED",
@@ -1265,7 +1262,9 @@ def q_status_priority_pivot(sf_dir):
             st_.dictionary.to_pylist(), pa.string())}
         for j, p in enumerate(_PIVOT_PRIOS):
             cols[f"n_p{j + 1}"] = pa.array(cnt[:, j])
-        cols["n_total"] = pa.array(cnt.sum(axis=1))
+        # every row counts, also one whose priority is out of domain
+        cols["n_total"] = pa.array(
+            np.bincount(sc, minlength=n_st).astype(np.int64))
         return pa.table(cols)
 
     aggs = [Sum(f"n_p{j + 1}", alias_name=f"n_p{j + 1}")
@@ -1329,7 +1328,7 @@ def q_customer_running_total(sf_dir):
               ["o_orderkey", "o_custkey", "o_orderdate",
                "o_totalprice"])
         .map_batches(prep, batch_format="pyarrow"),
-        "k", fold, schema, n_buckets=32)
+        "k", fold, schema)
 
 
 _MAD_K = 5
@@ -1376,8 +1375,7 @@ def q_value_outliers_mad(sf_dir):
     hist = partition_apply(
         _read(sf_dir, "events", ["event_type", "value"])
         .map_batches(hist_partial, batch_format="pyarrow"),
-        "v", hist_fold, hist_schema,
-        n_buckets=16).take_all()         # O(types · distinct cents)
+        "v", hist_fold, hist_schema).take_all()   # O(types · distinct cents)
 
     stats: dict[str, tuple[int, int]] = {}
     df = pd.DataFrame(hist)
@@ -1466,13 +1464,23 @@ def q_event_debounce(sf_dir):
         _read(sf_dir, "events",
               ["event_id", "user_id", "event_type", "ts"])
         .map_batches(prep, batch_format="pyarrow"),
-        "user_id", fold, schema, n_buckets=32)
+        "user_id", fold, schema)
 
 
 def pd_factorize(arr):
     import pandas as pd
     codes, uniques = pd.factorize(arr, sort=False)
     return codes.astype(np.int64), uniques
+
+
+def _coalesce_activity(b: pa.Table) -> pa.Table:
+    """Left-join misses (customers without orders) become 0, in int64
+    — exact for every value, not only below 2^53."""
+    return pa.table({
+        "c_custkey": b["c_custkey"],
+        "c_nationkey": b["c_nationkey"].cast(pa.int64()),
+        "n_orders": pc.fill_null(b["cnt"], 0),
+        "revenue_cents": pc.fill_null(b["rev"], 0)})
 
 
 def q_customer_order_activity(sf_dir):
@@ -1516,24 +1524,13 @@ def q_customer_order_activity(sf_dir):
     per_cust = partition_apply(
         _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
         .map_batches(partial, batch_format="pyarrow"),
-        "k", fold, per_cust_schema, n_buckets=32)
+        "k", fold, per_cust_schema)
 
     joined = hash_join(
         _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]),
-        per_cust, "c_custkey", "k", how="left", n_buckets=32)
+        per_cust, "c_custkey", "k", how="left")
 
-    def coalesce(b: pa.Table) -> pa.Table:
-        rev = b["rev"].to_numpy(zero_copy_only=False)
-        cnt = b["cnt"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "c_custkey": b["c_custkey"],
-            "c_nationkey": b["c_nationkey"].cast(pa.int64()),
-            "n_orders": pa.array(np.nan_to_num(
-                cnt.astype(np.float64), nan=0.0).astype(np.int64)),
-            "revenue_cents": pa.array(np.nan_to_num(
-                rev.astype(np.float64), nan=0.0).astype(np.int64))})
-
-    return joined.map_batches(coalesce, batch_format="pyarrow")
+    return joined.map_batches(_coalesce_activity, batch_format="pyarrow")
 
 
 def q_parts_never_ordered(sf_dir):
@@ -1555,8 +1552,7 @@ def q_parts_never_ordered(sf_dir):
     used = (_read(sf_dir, "lineitem", ["l_partkey", "l_shipdate"])
             .map_batches(distinct_keys, batch_format="pyarrow"))
     return hash_join(_read(sf_dir, "part", ["p_partkey", "p_name"]),
-                     used, "p_partkey", "l_partkey", how="anti",
-                     n_buckets=32)
+                     used, "p_partkey", "l_partkey", how="anti")
 
 
 def q_event_transition_matrix(sf_dir):
@@ -1613,7 +1609,7 @@ def q_event_transition_matrix(sf_dir):
         _read(sf_dir, "events",
               ["user_id", "event_type", "ts", "event_id"])
         .map_batches(prep, batch_format="pyarrow"),
-        "user_id", fold, schema, n_buckets=32)
+        "user_id", fold, schema)
     return (partials.groupby(["prev_type", "next_type"])
             .aggregate(Sum("n", alias_name="n")))
 
@@ -1730,8 +1726,7 @@ def q_returned_item_report(sf_dir):
     mid_schema = pa.schema([("k", pa.int64()), ("v", pa.int64()),
                             ("name", pa.string()), ("nk", pa.int64()),
                             ("kind", pa.int8())])
-    by_cust = partition_apply(tagged1, "k", join_orders, mid_schema,
-                              n_buckets=64)
+    by_cust = partition_apply(tagged1, "k", join_orders, mid_schema)
     tagged2 = by_cust.union(
         _read(sf_dir, "customer",
               ["c_custkey", "c_name", "c_acctbal", "c_nationkey"])
@@ -1740,8 +1735,7 @@ def q_returned_item_report(sf_dir):
         ("c_custkey", pa.int64()), ("c_name", pa.string()),
         ("revenue_c4", pa.int64()), ("c_acctbal_c", pa.int64()),
         ("n_name", pa.string())])
-    return (partition_apply(tagged2, "k", join_cust, out_schema,
-                            n_buckets=64)
+    return (partition_apply(tagged2, "k", join_cust, out_schema)
             .sort(["revenue_c4", "c_custkey"], descending=[True, False])
             .limit(20))
 
@@ -1820,8 +1814,7 @@ def q_promo_revenue_share(sf_dir):
                      .map_batches(part_side, batch_format="pyarrow")))
     schema = pa.schema([("promo_c4", pa.int64()),
                         ("total_c4", pa.int64())])
-    parts = partition_apply(tagged, "k", fold, schema,
-                            n_buckets=64).take_all()
+    parts = partition_apply(tagged, "k", fold, schema).take_all()
     promo = sum(int(r["promo_c4"]) for r in parts)   # exact python ints
     total = sum(int(r["total_c4"]) for r in parts)
     share = (promo * 1_000_000) // total if total else 0
@@ -1946,8 +1939,7 @@ def q_large_order_customers(sf_dir):
         ("o_orderdate_us", pa.int64()), ("totalprice_c", pa.int64()),
         ("sum_qty_c", pa.int64()), ("name", pa.string()),
         ("kind", pa.int8())])
-    hits = partition_apply(tagged1, "k", join_orders, mid_schema,
-                           n_buckets=64)
+    hits = partition_apply(tagged1, "k", join_orders, mid_schema)
     tagged2 = hits.union(_read(sf_dir, "customer",
                                ["c_custkey", "c_name"])
                          .map_batches(cust_rows,
@@ -1956,8 +1948,7 @@ def q_large_order_customers(sf_dir):
         ("c_custkey", pa.int64()), ("c_name", pa.string()),
         ("o_orderkey", pa.int64()), ("o_orderdate_us", pa.int64()),
         ("totalprice_c", pa.int64()), ("sum_qty_c", pa.int64())])
-    return (partition_apply(tagged2, "k", join_cust, out_schema,
-                            n_buckets=64)
+    return (partition_apply(tagged2, "k", join_cust, out_schema)
             .sort(["totalprice_c", "o_orderdate_us", "o_orderkey"],
                   descending=[True, False, False])
             .limit(100))

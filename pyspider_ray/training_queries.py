@@ -661,8 +661,7 @@ def q_jaccard_near_dup(sf_dir):
     # scheduling, measured); the intermediates are compact distributed
     # tables (int64 pairs), never driver-side
     pairs = candidate_pairs(sigs).materialize()
-    joined = join_signatures(pairs, words, "words",
-                             num_partitions=32).materialize()
+    joined = join_signatures(pairs, words, "words").materialize()
     return joined.map_batches(_jaccard_verify_vec, batch_format="pyarrow",
                               batch_size=65536)
 
@@ -703,8 +702,7 @@ def q_ngram_jaccard_near_dup(sf_dir):
     sigs = shingles.map_batches(_minhash_bands_from_words,
                                 batch_format="pyarrow")
     pairs = candidate_pairs(sigs).materialize()
-    joined = join_signatures(pairs, shingles, "words",
-                             num_partitions=32).materialize()
+    joined = join_signatures(pairs, shingles, "words").materialize()
     return joined.map_batches(_jaccard_verify_vec, batch_format="pyarrow",
                               batch_size=65536)
 
@@ -777,7 +775,7 @@ def q_simhash_near_dup(sf_dir):
         return fast
     triples = sigs.map_batches(_simhash_bands, batch_format="pyarrow")
     pairs = candidate_pairs(triples)
-    joined = join_signatures(pairs, sigs, "simhash", num_partitions=4)
+    joined = join_signatures(pairs, sigs, "simhash")
     return joined.map_batches(_hamming_filter(6), batch_format="pyarrow")
 
 
@@ -1223,7 +1221,7 @@ def q_ann_lsh_bucketed(sf_dir):
               .map_batches(functools.partial(_lsh_band_rows, q_ids=q_ids,
                                              planes=planes),
                            batch_format="pyarrow"))
-    pairs = nd.bipartite_candidate_pairs(sig_ds, n_buckets=32)
+    pairs = nd.bipartite_candidate_pairs(sig_ds)
     emb = (_read(sf_dir, "embeddings", ["vec_id", "embedding"])
            .map_batches(lambda t: t.rename_columns(["doc_id", "embedding"]),
                         batch_format="pyarrow"))
@@ -1352,7 +1350,7 @@ def _fp64_pair_table(sigs, maxdist: int = 10):
     from .neardup import candidate_pairs, join_signatures
     triples = sigs.map_batches(_phash_bands, batch_format="pyarrow")
     pairs = candidate_pairs(triples)
-    joined = join_signatures(pairs, sigs, "simhash", num_partitions=4)
+    joined = join_signatures(pairs, sigs, "simhash")
     return joined.map_batches(_hamming_filter(maxdist),
                               batch_format="pyarrow")
 
@@ -6766,7 +6764,7 @@ def q_hll_per_source(sf_dir):
     return partition_apply(
         _read(sf_dir, "documents", ["source", "text"])
         .map_batches(partial, batch_format="pyarrow"),
-        "sh", fold, schema, n_buckets=16)
+        "sh", fold, schema)
 
 
 ORACLES["hll_per_source"] = r"""

@@ -38,12 +38,16 @@ def _norm(df):
 
 @pytest.mark.usefixtures("ray_session")
 class TestHashJoin:
+    @pytest.fixture(autouse=True)
+    def _partitions(self, exchange_partitions):
+        self.partitions = exchange_partitions
+
     def _both(self, how):
         from pyspider_ray.neardup import hash_join
         lds, ldf = _mk(400, 120, "l")       # dups; keys 90+ never match
         rds, rdf = _mk(300, 90, "r", seed=7)
-        got = hash_join(lds, rds, "l_k", "r_k", how=how,
-                        n_buckets=8).to_pandas()
+        got = hash_join(lds, rds, "l_k", "r_k", how=how).to_pandas()
+        assert self.partitions and min(self.partitions) >= 2
         if how in ("semi", "anti"):
             hit = ldf["l_k"].isin(rdf["r_k"].unique())
             exp = ldf[~hit] if how == "anti" else ldf[hit]
@@ -69,7 +73,8 @@ class TestHashJoin:
         from pyspider_ray.neardup import hash_join
         lds, _ = _mk(50, 100000, "l")        # all misses vs tiny right
         rds, _ = _mk(4, 3, "r", seed=7)
-        out = hash_join(lds, rds, "l_k", "r_k", how="left", n_buckets=4)
+        out = hash_join(lds, rds, "l_k", "r_k", how="left")
+        assert min(self.partitions) >= 2
         sch = out.schema()
         types = dict(zip(sch.names, sch.types))
         assert types["r_v"] == pa.int64()
@@ -86,9 +91,10 @@ class TestHashJoin:
         r = rd.from_arrow(pa.table({"k": pa.array([2, 3], pa.int64()),
                                     "x": pa.array([-2, -3],
                                                   pa.int64())}))
-        got = (hash_join(l, r, "k", how="inner", n_buckets=4)
+        got = (hash_join(l, r, "k", how="inner")
                .to_pandas().sort_values(["k", "x"])
                .reset_index(drop=True))
+        assert min(self.partitions) >= 2
         assert list(got.columns) == ["k", "x", "x_r"]
         assert got["k"].tolist() == [2, 2]
         assert got["x_r"].tolist() == [-2, -2]
@@ -118,6 +124,9 @@ class TestHashJoin:
 
 @pytest.mark.usefixtures("ray_session")
 class TestHashJoinPrecisionAndCollisions:
+    @pytest.fixture(autouse=True)
+    def _partitions(self, exchange_partitions):
+        self.partitions = exchange_partitions
     def test_left_join_preserves_full_int64_payloads(self):
         """A partition with any unmatched left row used to promote the
         right int columns to float64, silently corrupting payloads
@@ -129,14 +138,30 @@ class TestHashJoinPrecisionAndCollisions:
                                     "x": pa.array([0, 0], pa.int64())}))
         r = rd.from_arrow(pa.table({"k": pa.array([1], pa.int64()),
                                     "v": pa.array([big], pa.int64())}))
-        rows = sorted(hash_join(l, r, "k", how="left",
-                                n_buckets=2).take_all(),
+        rows = sorted(hash_join(l, r, "k", how="left").take_all(),
                       key=lambda d: d["k"])
+        assert min(self.partitions) >= 2
         # assert at the ARROW layer: int64-with-null stays int64
         # (Dataset.to_pandas would re-promote to float64 — that's the
         # consumer's representation choice, not the join's)
         assert rows[0]["v"] == big              # exact, not 2^53
         assert rows[1]["v"] is None
+
+    def test_left_join_float_miss_is_null_not_nan(self):
+        """A miss on a float64 right payload is an Arrow null, as for
+        int64; NaN would read back as a value."""
+        from pyspider_ray.neardup import hash_join
+        import ray.data as rd
+        l = rd.from_arrow(pa.table({"k": pa.array([1, 2], pa.int64())}))
+        r = rd.from_arrow(pa.table({"k": pa.array([1], pa.int64()),
+                                    "f": pa.array([0.5], pa.float64())}))
+        out = hash_join(l, r, "k", how="left")
+        assert dict(zip(out.schema().names,
+                        out.schema().types))["f"] == pa.float64()
+        rows = sorted(out.take_all(), key=lambda d: d["k"])
+        assert min(self.partitions) >= 2
+        assert rows[0]["f"] == 0.5
+        assert rows[1]["f"] is None
 
     def test_right_key_collides_with_left_payload(self):
         """right_on sharing a LEFT payload column's name must not
@@ -147,8 +172,8 @@ class TestHashJoinPrecisionAndCollisions:
                                     "k": pa.array([7, 8], pa.int64())}))
         r = rd.from_arrow(pa.table({"k": pa.array([1], pa.int64()),
                                     "v": pa.array([99], pa.int64())}))
-        got = (hash_join(l, r, "id", "k", how="inner", n_buckets=2)
-               .to_pandas())
+        got = hash_join(l, r, "id", "k", how="inner").to_pandas()
+        assert min(self.partitions) >= 2
         assert sorted(got.columns) == ["id", "k", "v"]
         assert got["k"].tolist() == [7]         # LEFT payload survives
         assert got["v"].tolist() == [99]

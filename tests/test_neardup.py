@@ -103,7 +103,7 @@ class TestCandidatePairs:
 
 
 class TestAttach:
-    def test_attach_equals_hash_join(self, rd):
+    def test_attach_equals_hash_join(self, rd, exchange_partitions):
         pairs_t = pa.table({
             "doc_a": pa.array([1, 2, 3, 99], pa.int64()),   # 99 absent
             "doc_b": pa.array([4, 5, 6, 7], pa.int64())})
@@ -111,8 +111,8 @@ class TestAttach:
             "doc_id": pa.array(list(range(10)), pa.int64()),
             "sig": pa.array([d * 7 for d in range(10)], pa.int64())})
         out = join_signatures(rd.from_arrow(pairs_t),
-                              rd.from_arrow(sig_t), "sig",
-                              num_partitions=4).take_all()
+                              rd.from_arrow(sig_t), "sig").take_all()
+        assert min(exchange_partitions) >= 2
         # inner-join semantics: the row with the absent doc_a dropped
         assert len(out) == 3
         for r in out:
@@ -283,15 +283,16 @@ class TestAnnIvf:
 
 
 class TestMinByKey:
-    def test_matches_pandas_groupby_min(self, rd):
+    def test_matches_pandas_groupby_min(self, rd, exchange_partitions):
         import pandas as pd
         from pyspider_ray.neardup import min_by_key
         rng = np.random.RandomState(3)
         k = rng.randint(0, 500, size=5000).astype(np.int64)
         v = rng.randint(-10**12, 10**12, size=5000).astype(np.int64)
         ds = rd.from_arrow(pa.table({"k": k, "v": v})).repartition(7)
-        got = min_by_key(ds, "k", "v", n_buckets=8).to_pandas() \
+        got = min_by_key(ds, "k", "v").to_pandas() \
             .sort_values("k").reset_index(drop=True)
+        assert min(exchange_partitions) >= 2
         exp = pd.DataFrame({"k": k, "v": v}).groupby("k", as_index=False) \
             .min().sort_values("k").reset_index(drop=True)
         assert (got["k"].values == exp["k"].values).all()

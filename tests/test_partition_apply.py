@@ -40,11 +40,13 @@ def _make_sum_part():
 
 
 class TestPartitionApply:
-    def test_matches_pure_fold_and_no_key_splits(self, ray_session):
+    def test_matches_pure_fold_and_no_key_splits(self, ray_session,
+                                                 exchange_partitions):
         from pyspider_ray.neardup import partition_apply
         ds, ks, vs = _mk_ds()
         out = partition_apply(ds, "k", _make_sum_part(),
                               SCHEMA).take_all()
+        assert exchange_partitions[0] >= 2
         exp = {}
         for k, v in zip(ks, vs):
             s, n = exp.get(int(k), (0, 0))
@@ -56,7 +58,7 @@ class TestPartitionApply:
             got[r["k"]] = (r["s"], r["n"])
         assert got == exp
 
-    def test_group_apply_parity(self, ray_session):
+    def test_group_apply_parity(self, ray_session, exchange_partitions):
         from pyspider_ray.neardup import group_apply, partition_apply
 
         def sum_group(g: pa.Table) -> pa.Table:
@@ -73,6 +75,7 @@ class TestPartitionApply:
         b = {r["k"]: (r["s"], r["n"]) for r in
              group_apply(ds2, "k", sum_group, SCHEMA).take_all()}
         assert a == b
+        assert min(exchange_partitions) >= 2
 
     def test_empty_input_keeps_declared_schema(self, ray_session):
         import ray.data as rd
