@@ -416,7 +416,6 @@ def _build_sf1_documents(out_dir: str = "/tmp/neardup_sf1_v3") -> str:
         return out_dir
     os.makedirs(out_dir, exist_ok=True)
     base = pq.read_table("/root/testdata/sf0.1/documents.parquet")
-    ids = base["doc_id"].to_numpy()
     texts = base["text"].to_pylist()
     extra = {c: base[c] for c in base.column_names
              if c not in ("doc_id", "text")}
@@ -428,7 +427,7 @@ def _build_sf1_documents(out_dir: str = "/tmp/neardup_sf1_v3") -> str:
             p = f"z{r}q"
             rep_texts = [" ".join(p + w for w in t.split())
                          for t in texts]
-        cols = {"doc_id": pa.array(ids + r * 100_000),
+        cols = {"doc_id": _replica_keys(base["doc_id"], r, 100_000),
                 "text": pa.array(rep_texts, pa.string())}
         cols.update(extra)
         reps.append(pa.table(cols))
@@ -501,12 +500,11 @@ def _build_sf1_embeddings(out_dir: str = "/tmp/ann_sf1_v1") -> str:
         return out_dir
     os.makedirs(out_dir, exist_ok=True)
     base = pq.read_table(os.path.join(SF_DIR, "embeddings.parquet"))
-    ids = base["vec_id"].to_numpy()
     E = np.array(base["embedding"].to_pylist(), dtype=np.float32)
     reps = []
     for r in range(10):
         reps.append(pa.table({
-            "vec_id": pa.array(ids + r * 10**5, pa.int64()),
+            "vec_id": _replica_keys(base["vec_id"], r, 10**5),
             "embedding": pa.array(list(np.roll(E, r, axis=1)),
                                   pa.list_(pa.float32())),
             "label": base["label"]}))
@@ -539,6 +537,18 @@ _EVENTS_SCALE_OPS = {"funnel_stages", "asof_join", "session_windows",
                      "value_outliers_mad"}
 
 
+def _replica_keys(col, r: int, shift: int):
+    """Replica ``r`` of a key column: every key + r*shift.  A key at or
+    above the shift would collide with the next replica's keys and
+    silently break the exactly-10x structure, so it fails loudly."""
+    import pyarrow as pa
+    keys = col.to_numpy()
+    if len(keys) and keys.max() >= shift:
+        raise ValueError(f"key {keys.max()} does not fit under the "
+                         f"replica shift {shift}")
+    return pa.array(keys + r * shift)
+
+
 def _build_sf1_events(out_dir: str = "/tmp/events_sf1_v1") -> str:
     """Deterministic 10x events table: replica r shifts user_id by
     r·2^20 and event_id by r·2^24 (ts/type/value/props verbatim), so
@@ -558,9 +568,9 @@ def _build_sf1_events(out_dir: str = "/tmp/events_sf1_v1") -> str:
         cols = {}
         for c in base.column_names:
             if c == "user_id":
-                cols[c] = pa.array(base[c].to_numpy() + r * (1 << 20))
+                cols[c] = _replica_keys(base[c], r, 1 << 20)
             elif c == "event_id":
-                cols[c] = pa.array(base[c].to_numpy() + r * (1 << 24))
+                cols[c] = _replica_keys(base[c], r, 1 << 24)
             else:
                 cols[c] = base[c]
         reps.append(pa.table(cols))
@@ -595,8 +605,7 @@ def _build_sf1_tpch(out_dir: str = "/tmp/tpch_sf1_v2") -> str:
             cols = {}
             for c in base.column_names:
                 if c in shifts:
-                    cols[c] = pa.array(base[c].to_numpy()
-                                       + r * shifts[c])
+                    cols[c] = _replica_keys(base[c], r, shifts[c])
                 else:
                     cols[c] = base[c]
             reps.append(pa.table(cols))

@@ -1,7 +1,7 @@
-"""Shared Ray Data read helpers for the query families.
+"""Shared Ray Data helpers for the query families.
 
-One owner for the parquet-read hygiene both ``queries.py`` and
-``training_queries.py`` rely on (previously copy-pasted in each).
+One owner for the parquet-read hygiene and the broadcast-state fetch
+both ``queries.py`` and ``training_queries.py`` rely on.
 """
 
 from __future__ import annotations
@@ -28,3 +28,23 @@ def read_table(sf_dir: str, table: str, columns=None):
     if columns:
         schema = pa.schema([schema.field(c) for c in columns])
     return rd().read_parquet(path, columns=columns, schema=schema)
+
+
+_BROADCAST: dict = {}      # ref id -> value, oldest first
+_BROADCAST_KEEP = 4
+
+
+def broadcast_get(ref):
+    """The value behind an object-store ref, fetched once per worker
+    process.  Map tasks that share read-only state (a join side, an
+    elected winner set, a model table) get its ``ObjectRef`` through
+    ``fn_kwargs``; a process's first task pays the ``ray.get`` and the
+    rest read it from here.  Keyed by object id, so a newer ``ray.put``
+    is never served an older value; only the last few refs stay."""
+    key = ref.hex()
+    if key not in _BROADCAST:
+        import ray
+        if len(_BROADCAST) >= _BROADCAST_KEEP:
+            del _BROADCAST[next(iter(_BROADCAST))]
+        _BROADCAST[key] = ray.get(ref)
+    return _BROADCAST[key]

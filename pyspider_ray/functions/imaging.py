@@ -155,8 +155,12 @@ def fjpg_decode(data) -> np.ndarray:
         raise ValueError("not an FJPG payload")
     w, h, q = struct.unpack_from(">IIB", data, 4)
     raw = np.frombuffer(zlib.decompress(data[13:]), dtype=np.uint8)
-    pix = raw.reshape(h, w, 3).astype(np.uint16) * q + q // 2
-    return np.minimum(pix, 255).astype(np.uint8)
+    # min(v*q + q//2, 255) in place in uint8, with no widened copy: a
+    # level above the last one that fits wrapped, and is set to 255
+    pix = raw * np.uint8(q)
+    pix += np.uint8(q // 2)
+    pix[raw > (255 - q // 2) // max(q, 1)] = 255
+    return pix.reshape(h, w, 3)
 
 
 def encode_image_parts(pixels: np.ndarray, fmt: str,

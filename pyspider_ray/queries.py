@@ -8,8 +8,10 @@ Conventions:
 - outputs avoid raw float columns (money → cents int64, timestamps →
   epoch micros) so the driver's value-hash is stable across engines;
 - reads prune columns at the source; aggregations pre-aggregate inside
-  ``map_batches`` before the shuffle; small join sides are broadcast
-  into actor constructors (never re-shipped per batch).
+  ``map_batches`` before the shuffle; small join sides are loaded
+  once into the object store and reach plain map tasks as an
+  ``ObjectRef`` (fetched once per worker process, never re-shipped
+  per batch).
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ import json
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
-
+from ._io import broadcast_get as _broadcast_get
 from ._io import rd as _rd
 from ._io import read_table as _read_table
 
@@ -209,42 +212,40 @@ def q_result_paging(sf_dir):
 # joins (SURVEY §2.4)
 # ---------------------------------------------------------------------------
 
-class _JoinCustomer:
-    """Broadcast hash-join side: customer dim loaded once per actor."""
+@ray.remote
+def _customer_side(sf_dir: str):
+    """hash_join_revenue's broadcast side, read once in a task (the
+    process that builds the query never holds it): customer keys
+    sorted, with their nations."""
+    import pyarrow.parquet as pq
+    t = pq.read_table(f"{sf_dir}/customer.parquet",
+                      columns=["c_custkey", "c_nationkey"])
+    keys = t["c_custkey"].to_numpy()
+    order = np.argsort(keys)
+    return keys[order], t["c_nationkey"].to_numpy()[order]
 
-    def __init__(self, sf_dir: str):
-        import pyarrow.parquet as pq
-        t = pq.read_table(f"{sf_dir}/customer.parquet",
-                          columns=["c_custkey", "c_nationkey"])
-        keys = t["c_custkey"].to_numpy()
-        vals = t["c_nationkey"].to_numpy()
-        order = np.argsort(keys)
-        self.keys = keys[order]
-        self.vals = vals[order]
 
-    def __call__(self, b: pa.Table) -> pa.Table:
-        ck = b["o_custkey"].to_numpy()
-        idx = np.searchsorted(self.keys, ck)
-        idx = np.clip(idx, 0, len(self.keys) - 1)
-        hit = self.keys[idx] == ck
-        nk = np.where(hit, self.vals[idx], -1)
-        cents = _round_c(b["o_totalprice"].to_numpy())
-        out = pa.table({"c_nationkey": pa.array(nk.astype(np.int64)),
-                        "price_cents": pa.array(cents)})
-        return out.filter(pa.array(hit))
+def _join_customer(b: pa.Table, side) -> pa.Table:
+    keys, vals = _broadcast_get(side)
+    ck = b["o_custkey"].to_numpy()
+    idx = np.searchsorted(keys, ck)
+    idx = np.clip(idx, 0, len(keys) - 1)
+    hit = keys[idx] == ck
+    nk = np.where(hit, vals[idx], -1)
+    cents = _round_c(b["o_totalprice"].to_numpy())
+    out = pa.table({"c_nationkey": pa.array(nk.astype(np.int64)),
+                    "price_cents": pa.array(cents)})
+    return out.filter(pa.array(hit))
 
 
 def q_hash_join_revenue(sf_dir):
-    """J1/J6 — fact ⋈ broadcast dim + grouped rollup; the small side rides
-    in the actor constructor (one ship per actor, not per batch)."""
+    """J1/J6 — fact ⋈ broadcast dim + grouped rollup; the small side
+    rides one object-store ref into plain map tasks (fetched once per
+    worker process, never re-shipped per batch)."""
     from ray.data.aggregate import Count, Sum
     return (_read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-            .map_batches(_JoinCustomer, fn_constructor_kwargs={"sf_dir": sf_dir},
-                         batch_format="pyarrow", concurrency=2,
-                         # constructor kwargs live in the object store;
-                         # a restart could never rebuild them (ray#53727)
-                         # -- and it would be logged as an ERROR per run
-                         max_restarts=0)
+            .map_batches(_join_customer, batch_format="pyarrow",
+                         fn_kwargs={"side": _customer_side.remote(sf_dir)})
             .groupby("c_nationkey")
             .aggregate(Count(alias_name="n_orders"),
                        Sum("price_cents", alias_name="revenue_cents")))
@@ -254,7 +255,7 @@ def _membership_filter(probe_ds, probe_col: str, keys_ds, key_col: str,
                        negate: bool, n_buckets: int = 64):
     """Partitioned semi/anti join: both sides co-partition by a coarse
     deterministic hash bucket of the key, and membership is decided
-    per group with one vectorized ``np.isin`` — per-actor state is
+    per group with one vectorized ``np.isin`` — per-task state is
     O(partition), never the whole key set (the earlier broadcast
     key-set filter dies at 100 TB where the fact side's distinct keys
     outgrow one heap).  The key side is pre-distincted per batch (a
@@ -870,36 +871,34 @@ def q_asof_join(sf_dir):
             .groupby("cb").map_groups(asof, batch_format="pyarrow"))
 
 
-class _RangeJoinCount:
+@ray.remote
+def _order_prices(sf_dir: str) -> np.ndarray:
+    """range_join_count's broadcast side, read once in a task: every
+    order price in cents, sorted (1 MB at sf0.1 — the canonical
+    broadcast-small-side case)."""
+    import pyarrow.parquet as pq
+    t = pq.read_table(f"{sf_dir}/orders.parquet", columns=["o_totalprice"])
+    return np.sort(_round_c(t["o_totalprice"].to_numpy()))
+
+
+def _range_join_count(b: pa.Table, prices) -> pa.Table:
     """Range join (broadcast small side): count orders whose price
-    falls in each event's [value*1000, value*1000+5000) cents band.
-    The sorted order-price array loads once per actor (1 MB at sf0.1 —
-    the canonical broadcast-small-side case); counts are two
-    searchsorted calls per batch."""
-
-    def __init__(self, sf_dir: str):
-        import pyarrow.parquet as pq
-        t = pq.read_table(f"{sf_dir}/orders.parquet",
-                          columns=["o_totalprice"])
-        cents = _round_c(t["o_totalprice"].to_numpy())
-        self.prices = np.sort(cents)
-
-    def __call__(self, b: pa.Table) -> pa.Table:
-        lo = np.floor(b["value"].to_numpy(zero_copy_only=False) * 1000) \
-            .astype(np.int64) * 100
-        hi = lo + 500_000
-        n = np.searchsorted(self.prices, hi, side="left") - \
-            np.searchsorted(self.prices, lo, side="left")
-        return pa.table({"event_id": b["event_id"],
-                         "n_orders_in_band": pa.array(n.astype(np.int64))})
+    falls in each event's [value*1000, value*1000+5000) cents band —
+    two searchsorted calls per batch."""
+    prices = _broadcast_get(prices)
+    lo = np.floor(b["value"].to_numpy(zero_copy_only=False) * 1000) \
+        .astype(np.int64) * 100
+    hi = lo + 500_000
+    n = np.searchsorted(prices, hi, side="left") - \
+        np.searchsorted(prices, lo, side="left")
+    return pa.table({"event_id": b["event_id"],
+                     "n_orders_in_band": pa.array(n.astype(np.int64))})
 
 
 def q_range_join_count(sf_dir):
     return (_read(sf_dir, "events", ["event_id", "value"])
-            .map_batches(_RangeJoinCount,
-                         fn_constructor_kwargs={"sf_dir": sf_dir},
-                         batch_format="pyarrow", concurrency=2,
-                         max_restarts=0))
+            .map_batches(_range_join_count, batch_format="pyarrow",
+                         fn_kwargs={"prices": _order_prices.remote(sf_dir)}))
 
 
 def q_sliding_window(sf_dir):

@@ -41,6 +41,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pyarrow as pa
 
+from ..functions.buffers import binary_array
 from ..functions.requests_pack import pack_request
 
 
@@ -286,8 +287,8 @@ class HttpFetcher:
         return (batch
                 .append_column("status_code", pa.array(
                     np.array([r["code"] for r in results], np.int32)))
-                .append_column("content", pa.array(
-                    [r["content"] for r in results], pa.binary()))
+                .append_column("content", binary_array(
+                    [r["content"] for r in results]))
                 .append_column("fetch_error", pa.array(
                     [r["error"] for r in results], pa.string()))
                 .append_column("resp_headers", pa.array(

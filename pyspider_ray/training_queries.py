@@ -11,9 +11,10 @@ multimodal) are rows-only checks.  The near-dup family runs on the
 distributed machinery in ``pyspider_ray.neardup``: per-batch
 signatures → coarse-bucket hash-shuffle pair expansion → bucketed
 distinct → co-partitioned signature attach → vectorized verification.
-No stage materializes the corpus on the driver or broadcasts it into
-an actor; small sides (centroids, query matrices, sorted price arrays)
-ride actor constructors / task args by design.
+No stage materializes or broadcasts the corpus in one process; small
+sides (centroids, query matrices, elected winner sets) ride one
+object-store ref into plain map tasks (``_io.broadcast_get``) or the
+task args by design.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from .functions.buffers import binary_array
 from .functions.synthweb import mix64
 
 STOPWORDS = ("the", "a", "of", "to", "and", "in", "is")
@@ -39,6 +41,7 @@ _LSH_ROWS = 6                      # 21 bands x 6 rows: at tau=0.9 the
 _JACCARD_TAU_NUM, _JACCARD_TAU_DEN = 9, 10   # tau = 0.9, integer compare
 
 
+from ._io import broadcast_get as _broadcast_get
 from ._io import rd as _rd
 from ._io import read_table as _read
 
@@ -525,64 +528,58 @@ def _mask_csr_stream(values_ds, col="mask"):
     return uniq, offs, ids
 
 
-class _ClassPairExpand:
-    """Actor-pool stage over class indices: popcount-compares its block
-    of class values against the full (broadcast) class table, then
-    expands qualifying class pairs into member doc pairs from the CSR.
-    State fetched ONCE per actor from the object store.  ``mode``
-    picks the metric: "jaccard" (bitset tau test) or "hamming"
-    (popcount of xor <= ``max_dist``)."""
+_CLASS_INNER = 8192  # inner-axis chunk bounding the B x C compare matrix
 
-    _INNER = 8192  # inner-axis chunk bounding the B x C compare matrix
 
-    def __init__(self, csr_ref, mode="jaccard", max_dist=6):
-        self.masks, self.offs, self.members = ray.get(csr_ref)
-        self.mode, self.max_dist = mode, max_dist
-
-    def __call__(self, b: pa.Table) -> pa.Table:
-        idx = b["id"].to_numpy().astype(np.int64)
-        masks, offs, mem = self.masks, self.offs, self.members
-        ci_l, cj_l = [], []
-        m_blk = masks[idx]
-        for lo in range(0, len(masks), self._INNER):
-            sl = masks[lo:lo + self._INNER]
-            if self.mode == "hamming":
-                ok = _popcnt64_mat(m_blk[:, None] ^ sl[None, :]) \
-                    <= self.max_dist
-            else:
-                inter = _popcnt64_mat(m_blk[:, None] & sl[None, :])
-                union = _popcnt64_mat(m_blk[:, None] | sl[None, :])
-                ok = inter * _JACCARD_TAU_DEN >= _JACCARD_TAU_NUM * union
-            # upper triangle INCLUDING the diagonal: each unordered
-            # class pair is emitted by exactly one block row, and the
-            # (i,i) diagonal carries the intra-class (jaccard 1.0) pairs
-            ok &= idx[:, None] <= (lo + np.arange(len(sl)))[None, :]
-            bi, bj = np.nonzero(ok)
-            ci_l.append(idx[bi])
-            cj_l.append(lo + bj)
-        ci = np.concatenate(ci_l) if ci_l else np.empty(0, np.int64)
-        cj = np.concatenate(cj_l) if cj_l else np.empty(0, np.int64)
-        # vectorized cross-product expansion: class pair k contributes
-        # na[k]*nb[k] member pairs; build flat row->(k, a-slot, b-slot)
-        # index arrays with repeat/cumsum, no per-pair Python loop
-        na = offs[ci + 1] - offs[ci]
-        nb = offs[cj + 1] - offs[cj]
-        sizes = na * nb
-        total = int(sizes.sum())
-        if not total:
-            return pa.table({"doc_a": pa.array([], pa.int64()),
-                             "doc_b": pa.array([], pa.int64())})
-        k = np.repeat(np.arange(len(ci)), sizes)
-        starts = np.cumsum(sizes) - sizes
-        within = np.arange(total) - starts[k]
-        a_slot = within // nb[k]
-        b_slot = within - a_slot * nb[k]
-        da = mem[offs[ci][k] + a_slot]
-        db = mem[offs[cj][k] + b_slot]
-        keep = np.where(ci[k] == cj[k], da < db, np.True_)
-        da, db = da[keep], db[keep]
-        return pa.table({"doc_a": pa.array(np.minimum(da, db)),
-                         "doc_b": pa.array(np.maximum(da, db))})
+def _class_pair_expand(b: pa.Table, csr, mode="jaccard",
+                       max_dist=6) -> pa.Table:
+    """Map task over class indices: popcount-compares its block of
+    class values against the full broadcast class table ``csr`` (an
+    object-store ref), then expands qualifying class pairs into member
+    doc pairs from the CSR.  ``mode`` picks the metric: "jaccard"
+    (bitset tau test) or "hamming" (popcount of xor <= ``max_dist``)."""
+    masks, offs, mem = _broadcast_get(csr)
+    idx = b["id"].to_numpy().astype(np.int64)
+    ci_l, cj_l = [], []
+    m_blk = masks[idx]
+    for lo in range(0, len(masks), _CLASS_INNER):
+        sl = masks[lo:lo + _CLASS_INNER]
+        if mode == "hamming":
+            ok = _popcnt64_mat(m_blk[:, None] ^ sl[None, :]) <= max_dist
+        else:
+            inter = _popcnt64_mat(m_blk[:, None] & sl[None, :])
+            union = _popcnt64_mat(m_blk[:, None] | sl[None, :])
+            ok = inter * _JACCARD_TAU_DEN >= _JACCARD_TAU_NUM * union
+        # upper triangle INCLUDING the diagonal: each unordered
+        # class pair is emitted by exactly one block row, and the
+        # (i,i) diagonal carries the intra-class (jaccard 1.0) pairs
+        ok &= idx[:, None] <= (lo + np.arange(len(sl)))[None, :]
+        bi, bj = np.nonzero(ok)
+        ci_l.append(idx[bi])
+        cj_l.append(lo + bj)
+    ci = np.concatenate(ci_l) if ci_l else np.empty(0, np.int64)
+    cj = np.concatenate(cj_l) if cj_l else np.empty(0, np.int64)
+    # vectorized cross-product expansion: class pair k contributes
+    # na[k]*nb[k] member pairs; build flat row->(k, a-slot, b-slot)
+    # index arrays with repeat/cumsum, no per-pair Python loop
+    na = offs[ci + 1] - offs[ci]
+    nb = offs[cj + 1] - offs[cj]
+    sizes = na * nb
+    total = int(sizes.sum())
+    if not total:
+        return pa.table({"doc_a": pa.array([], pa.int64()),
+                         "doc_b": pa.array([], pa.int64())})
+    k = np.repeat(np.arange(len(ci)), sizes)
+    starts = np.cumsum(sizes) - sizes
+    within = np.arange(total) - starts[k]
+    a_slot = within // nb[k]
+    b_slot = within - a_slot * nb[k]
+    da = mem[offs[ci][k] + a_slot]
+    db = mem[offs[cj][k] + b_slot]
+    keep = np.where(ci[k] == cj[k], da < db, np.True_)
+    da, db = da[keep], db[keep]
+    return pa.table({"doc_a": pa.array(np.minimum(da, db)),
+                     "doc_b": pa.array(np.maximum(da, db))})
 
 
 def _mask_class_near_dup(values_ds, col="mask", mode="jaccard",
@@ -601,15 +598,10 @@ def _mask_class_near_dup(values_ds, col="mask", mode="jaccard",
     c = len(uniq)
     ref = ray.put((uniq, offs, members))
     return (ray.data.range(c, override_num_blocks=max(1, min(64, c // 64)))
-            .map_batches(_ClassPairExpand,
-                         fn_constructor_kwargs={"csr_ref": ref,
-                                                "mode": mode,
-                                                "max_dist": max_dist},
-                         concurrency=(1, 16), batch_format="pyarrow",
+            .map_batches(_class_pair_expand, batch_format="pyarrow",
                          batch_size=256,
-                         # kwargs hold an object-store ref a restart could
-                         # never rebuild (ray#53727): restarts off
-                         max_restarts=0))
+                         fn_kwargs={"csr": ref, "mode": mode,
+                                    "max_dist": max_dist}))
 
 
 def q_jaccard_near_dup(sf_dir):
@@ -826,36 +818,31 @@ def _load_query_matrix(sf_dir: str, n_queries: int):
     return q_ids, Q
 
 
-class _CosinePartialTopK:
+def _cosine_partial_topk(b: pa.Table, query) -> pa.Table:
     """Brute-force cosine: the (tiny, driver-built) query matrix rides
-    in the serialized callable; each DB batch emits its local top-k
-    per query (partial), merged by the adaptive combine after — the
-    scale pattern for 10^9-row ANN baselines."""
-
-    def __init__(self, q_ids: np.ndarray, Q: np.ndarray):
-        self.q_ids = np.asarray(q_ids)
-        self.Q = np.asarray(Q, dtype=np.float64)
-
-    def __call__(self, b: pa.Table) -> pa.Table:
-        from ._malloc import prefault_arena
-        prefault_arena()   # idempotent per worker process: per-batch E
-        E = _embedding_matrix(b)   # matrices reuse the arena
-        E /= np.linalg.norm(E, axis=1, keepdims=True)
-        vec_ids = b["vec_id"].to_numpy(zero_copy_only=False)
-        S = self.Q @ E.T                      # (n_q, batch)
-        qs, ns, sims = [], [], []
-        k = min(_TOP_K + 1, S.shape[1])
-        for qi in range(S.shape[0]):
-            idx = np.argpartition(-S[qi], k - 1)[:k]
-            for j in idx:
-                if vec_ids[j] == self.q_ids[qi]:
-                    continue              # exclude self-match
-                qs.append(int(self.q_ids[qi]))
-                ns.append(int(vec_ids[j]))
-                sims.append(float(S[qi, j]))
-        return pa.table({"query_id": pa.array(qs, pa.int64()),
-                         "neighbor_id": pa.array(ns, pa.int64()),
-                         "sim": pa.array(sims, pa.float64())})
+    one object-store ref; each DB batch emits its local top-k per query
+    (partial), merged by the adaptive combine after — the scale
+    pattern for 10^9-row ANN baselines."""
+    from ._malloc import prefault_arena
+    q_ids, Q = _broadcast_get(query)
+    prefault_arena()   # idempotent per worker process: per-batch E
+    E = _embedding_matrix(b)   # matrices reuse the arena
+    E /= np.linalg.norm(E, axis=1, keepdims=True)
+    vec_ids = b["vec_id"].to_numpy(zero_copy_only=False)
+    S = Q @ E.T                           # (n_q, batch)
+    qs, ns, sims = [], [], []
+    k = min(_TOP_K + 1, S.shape[1])
+    for qi in range(S.shape[0]):
+        idx = np.argpartition(-S[qi], k - 1)[:k]
+        for j in idx:
+            if vec_ids[j] == q_ids[qi]:
+                continue              # exclude self-match
+            qs.append(int(q_ids[qi]))
+            ns.append(int(vec_ids[j]))
+            sims.append(float(S[qi, j]))
+    return pa.table({"query_id": pa.array(qs, pa.int64()),
+                     "neighbor_id": pa.array(ns, pa.int64()),
+                     "sim": pa.array(sims, pa.float64())})
 
 
 def _final_topk_merge(partials, small_limit: int = 200_000):
@@ -895,13 +882,13 @@ def _final_topk_merge(partials, small_limit: int = 200_000):
 def q_embedding_knn(sf_dir):
     """ANN baseline: brute-force cosine top-5 for the first 20 vectors.
     Partial top-k per batch (tasks — no actor pool to spin up for a
-    one-pass stateless matmul; the tiny query matrix ships once in the
-    serialized closure), adaptive final combine."""
-    import functools
+    one-pass matmul; the tiny query matrix rides one object-store ref),
+    adaptive final combine."""
     q_ids, Q = _load_query_matrix(sf_dir, _N_QUERIES)
-    scorer = _CosinePartialTopK(q_ids=q_ids, Q=Q)
+    query = ray.put((np.asarray(q_ids), np.asarray(Q, dtype=np.float64)))
     partials = (_read(sf_dir, "embeddings", ["vec_id", "embedding"])
-                .map_batches(scorer, batch_format="pyarrow"))
+                .map_batches(_cosine_partial_topk, batch_format="pyarrow",
+                             fn_kwargs={"query": query}))
     return _final_topk_merge(partials)
 
 
@@ -1234,80 +1221,64 @@ def q_ann_lsh_bucketed(sf_dir):
 # multimodal plumbing (synthetic pages; no image libs in this container)
 # ---------------------------------------------------------------------------
 
-class _DecodeResize:
-    """Image decode + 8x8 thumbnail features as an actor-pool stage —
-    the schema/batch plumbing is real; the codec is the sandbox codec
+def _decode_resize(b: pa.Table) -> pa.Table:
+    """Image decode + 8x8 thumbnail features — the schema/batch
+    plumbing is real; the codec is the stand-in codec
     (pyspider_ray.functions.imaging; real JPEG decode is stubbed there)."""
-
-    def __init__(self):
-        from .functions.imaging import decode_image
-        from .functions.imaging import _block_mean_8x8
-        self._decode = decode_image
-        self._thumb = _block_mean_8x8
-
-    def __call__(self, b: pa.Table) -> pa.Table:
-        means, ws, hs = [], [], []
-        for data in b["bytes"].to_pylist():
-            px = self._decode(data)
-            hs.append(px.shape[0])
-            ws.append(px.shape[1])
-            gray = px.astype(np.float64).mean(axis=2)
-            means.append(int(round(float(self._thumb(gray).mean()))))
-        return pa.table({"image_id": b["image_id"],
-                         "w_obs": pa.array(ws, pa.int32()),
-                         "h_obs": pa.array(hs, pa.int32()),
-                         "fmt": b["fmt"],
-                         "thumb_mean": pa.array(means, pa.int64())})
+    from .functions.imaging import _block_mean_8x8, decode_image
+    means, ws, hs = [], [], []
+    for data in b["bytes"].to_pylist():
+        px = decode_image(data)
+        hs.append(px.shape[0])
+        ws.append(px.shape[1])
+        gray = px.astype(np.float64).mean(axis=2)
+        means.append(int(round(float(_block_mean_8x8(gray).mean()))))
+    return pa.table({"image_id": b["image_id"],
+                     "w_obs": pa.array(ws, pa.int32()),
+                     "h_obs": pa.array(hs, pa.int32()),
+                     "fmt": b["fmt"],
+                     "thumb_mean": pa.array(means, pa.int64())})
 
 
-class _ResizeEncode:
-    """Image resize actor stage: decode → bilinear 64x64 → re-encode —
-    the thumbnailing shape of a multimodal training pipeline (decode
-    state + target dims built once per actor; small batches because
-    payloads are wide).  The resize kernel is REAL vectorized numpy
-    (functions/imaging.py::resize_bilinear); only the exotic codecs
-    are sandbox-stubbed."""
-
-    def __init__(self, out_h: int = 64, out_w: int = 64):
-        from .functions.imaging import decode_image, encode_image
-        from .functions.imaging import resize_bilinear
-        self._decode = decode_image
-        self._encode = encode_image
-        self._resize = resize_bilinear
-        self.out_h, self.out_w = out_h, out_w
-
-    def __call__(self, b: pa.Table) -> pa.Table:
-        outs, ws, hs, means = [], [], [], []
-        for data, fmt in zip(b["bytes"].to_pylist(),
-                             b["fmt"].to_pylist()):
-            px = self._decode(data)
-            hs.append(px.shape[0])
-            ws.append(px.shape[1])
-            small = self._resize(px, self.out_h, self.out_w)
-            means.append(int(round(float(small.mean()))))
-            outs.append(self._encode(small, fmt))
-        return pa.table({"image_id": b["image_id"],
-                         "w_in": pa.array(ws, pa.int32()),
-                         "h_in": pa.array(hs, pa.int32()),
-                         "resized_mean": pa.array(means, pa.int64()),
-                         "resized_bytes": pa.array(outs, pa.binary())})
+def _resize_encode(b: pa.Table, out_h: int = 64,
+                   out_w: int = 64) -> pa.Table:
+    """Image resize stage: decode → bilinear 64x64 → re-encode — the
+    thumbnailing shape of a multimodal training pipeline (small batches
+    because payloads are wide).  The resize kernel is REAL vectorized
+    numpy (functions/imaging.py::resize_bilinear); only the exotic
+    codecs are stubbed."""
+    from .functions.imaging import decode_image, encode_image
+    from .functions.imaging import resize_bilinear
+    outs, ws, hs, means = [], [], [], []
+    for data, fmt in zip(b["bytes"].to_pylist(), b["fmt"].to_pylist()):
+        px = decode_image(data)
+        hs.append(px.shape[0])
+        ws.append(px.shape[1])
+        small = resize_bilinear(px, out_h, out_w)
+        means.append(int(round(float(small.mean()))))
+        outs.append(encode_image(small, fmt))
+    return pa.table({"image_id": b["image_id"],
+                     "w_in": pa.array(ws, pa.int32()),
+                     "h_in": pa.array(hs, pa.int32()),
+                     "resized_mean": pa.array(means, pa.int64()),
+                     "resized_bytes": binary_array(outs)})
 
 
 def q_image_resize(sf_dir):
     """Multimodal resize/thumbnail pipeline over 200 synthetic pages
-    (rows-only; deterministic from the seed): actor-pool decode →
-    real bilinear 64x64 → re-encode, emitting the thumbnail payload
+    (rows-only; deterministic from the seed): decode tasks → real
+    bilinear 64x64 → re-encode, emitting the thumbnail payload
     plus its observed stats."""
     from .functions.synthweb import page_payload
     rows = [page_payload(i) for i in range(200)]
     table = pa.table({
         "image_id": pa.array([r["image_id"] for r in rows], pa.string()),
-        "bytes": pa.array([r["bytes"] for r in rows], pa.binary()),
+        "bytes": binary_array([r["bytes"] for r in rows]),
         "fmt": pa.array([r["fmt"] for r in rows], pa.string()),
     })
     return (_rd().from_arrow(table)
-            .map_batches(_ResizeEncode, batch_format="pyarrow",
-                         batch_size=32, concurrency=2)
+            .map_batches(_resize_encode, batch_format="pyarrow",
+                         batch_size=32)
             .select_columns(["image_id", "w_in", "h_in",
                              "resized_mean"]))
 
@@ -1319,12 +1290,12 @@ def q_image_decode(sf_dir):
     rows = [page_payload(i) for i in range(200)]
     table = pa.table({
         "image_id": pa.array([r["image_id"] for r in rows], pa.string()),
-        "bytes": pa.array([r["bytes"] for r in rows], pa.binary()),
+        "bytes": binary_array([r["bytes"] for r in rows]),
         "fmt": pa.array([r["fmt"] for r in rows], pa.string()),
     })
     return (_rd().from_arrow(table)
-            .map_batches(_DecodeResize, batch_format="pyarrow",
-                         batch_size=64, concurrency=2))
+            .map_batches(_decode_resize, batch_format="pyarrow",
+                         batch_size=64))
 
 
 def _phash_bands(b: pa.Table) -> pa.Table:
@@ -1383,7 +1354,7 @@ def _image_phash_pairs():
     base = _rd().from_arrow(pa.table({
         "doc_id": pa.array(doc_ids, pa.int64())})).repartition(4)
     sigs = base.map_batches(hashes, batch_format="pyarrow",
-                            batch_size=50, concurrency=2).materialize()
+                            batch_size=50).materialize()
     return _fp64_pair_table(sigs, maxdist=10)
 
 
@@ -1392,7 +1363,7 @@ def q_image_phash_near_dup(sf_dir):
     the synthetic page corpus + its lossy re-encodes (rows-only —
     DuckDB can't decode images): the image-payload analogue of SimHash
     dedup, running the SAME distributed banding pipeline
-    (pyspider_ray.neardup): pHash actor stage → 12-band composite
+    (pyspider_ray.neardup): pHash tasks → 12-band composite
     multi-index (zero misses at d<=10) → sort-shuffle pair expansion →
     distinct → signature join → popcount verify.  Integer doc ids pack
     (url_id*2 + lossy) so the pair machinery's 32-bit packing applies;
@@ -1439,62 +1410,47 @@ def q_image_phash_collapse(sf_dir):
         batch_format="pyarrow")
 
 
-class _AudioFeatureStage:
-    """Actor-pool audio decode + feature extraction: the codec binds
-    once per actor (__init__); each batch decodes clips and emits the
-    integer feature columns a filtering pipeline thresholds on.  The
-    codec is the sandbox FAUD stand-in (functions/media.py) — swap
-    soundfile/ffmpeg in __init__ outside the sandbox."""
-
-    def __init__(self):
-        from .functions.media import audio_decode, audio_features
-        self._decode = audio_decode
-        self._features = audio_features
-
-    def __call__(self, b: pa.Table) -> pa.Table:
-        rows = []
-        for data in b["bytes"].to_pylist():
-            sr, samples = self._decode(data)
-            rows.append(self._features(samples, sr))
-        cols = {"clip_id": b["clip_id"]}
-        for k in ("n_samples", "sr", "rms_milli", "zero_crossings",
-                  "peak_milli", "n_frames", "frame_rms_mean_milli"):
-            cols[k] = pa.array([r[k] for r in rows], pa.int64())
-        return pa.table(cols)
+def _audio_feature_stage(b: pa.Table) -> pa.Table:
+    """Audio decode + feature extraction: each batch decodes clips and
+    emits the integer feature columns a filtering pipeline thresholds
+    on.  The codec is the FAUD stand-in (functions/media.py) — swap
+    soundfile/ffmpeg in here for real audio."""
+    from .functions.media import audio_decode, audio_features
+    rows = []
+    for data in b["bytes"].to_pylist():
+        sr, samples = audio_decode(data)
+        rows.append(audio_features(samples, sr))
+    cols = {"clip_id": b["clip_id"]}
+    for k in ("n_samples", "sr", "rms_milli", "zero_crossings",
+              "peak_milli", "n_frames", "frame_rms_mean_milli"):
+        cols[k] = pa.array([r[k] for r in rows], pa.int64())
+    return pa.table(cols)
 
 
 def q_audio_features(sf_dir):
     """Multimodal audio pipeline (rows-only; deterministic from seeds):
-    binary clips → actor-pool decode → integer feature columns."""
+    binary clips → decode tasks → integer feature columns."""
     from .functions.media import synth_audio
     clips = pa.table({
         "clip_id": pa.array([f"aud-{i:06d}" for i in range(100)],
                             pa.string()),
-        "bytes": pa.array([synth_audio(i) for i in range(100)],
-                          pa.binary())})
+        "bytes": binary_array([synth_audio(i) for i in range(100)])})
     return (_rd().from_arrow(clips)
-            .map_batches(_AudioFeatureStage, batch_format="pyarrow",
-                         batch_size=32, concurrency=2))
+            .map_batches(_audio_feature_stage, batch_format="pyarrow",
+                         batch_size=32))
 
 
-class _AudioFpStage:
-    """Actor-pool decode → 64-bit Haitsma-Kalker fingerprint (codec
-    and FFT kernel bind once per actor); emits the signature column
-    the banding exchange consumes."""
-
-    def __init__(self):
-        from .functions.media import audio_decode, audio_fingerprint64
-        self._decode = audio_decode
-        self._fp = audio_fingerprint64
-
-    def __call__(self, b: pa.Table) -> pa.Table:
-        out = []
-        for data in b["bytes"].to_pylist():
-            _, samples = self._decode(data)
-            v = self._fp(samples)
-            out.append(v - (1 << 64) if v >= (1 << 63) else v)
-        return pa.table({"doc_id": b["doc_id"],
-                         "simhash": pa.array(out, pa.int64())})
+def _audio_fp_stage(b: pa.Table) -> pa.Table:
+    """Decode → 64-bit Haitsma-Kalker fingerprint; emits the signature
+    column the banding exchange consumes."""
+    from .functions.media import audio_decode, audio_fingerprint64
+    out = []
+    for data in b["bytes"].to_pylist():
+        _, samples = audio_decode(data)
+        v = audio_fingerprint64(samples)
+        out.append(v - (1 << 64) if v >= (1 << 63) else v)
+    return pa.table({"doc_id": b["doc_id"],
+                     "simhash": pa.array(out, pa.int64())})
 
 
 def _audio_fp_name(d: int) -> str:
@@ -1513,8 +1469,8 @@ def _media_clip_count() -> int:
 def q_audio_fp_near_dup(sf_dir):
     """Audio near-dup by Haitsma-Kalker fingerprint Hamming <= 10
     (rows-only — DuckDB can't FFT): the audio analogue of pHash dedup
-    on the SAME distributed machinery — binary clips → actor-pool
-    decode + fingerprint → 12-band composite multi-index (zero misses
+    on the SAME distributed machinery — binary clips → decode +
+    fingerprint tasks → 12-band composite multi-index (zero misses
     at d <= 10) → hash-shuffle pair expansion → distinct → signature
     join → popcount verify.  Corpus: 100 synthetic clips; every third
     also ships a perturbed re-master (0.8x gain + 1% noise) that the
@@ -1543,8 +1499,8 @@ def q_audio_fp_near_dup(sf_dir):
         "doc_id": pa.array(doc_ids, pa.int64())})).repartition(4)
     sigs = (base.map_batches(clips, batch_format="pyarrow",
                              batch_size=32)
-            .map_batches(_AudioFpStage, batch_format="pyarrow",
-                         batch_size=32, concurrency=2).materialize())
+            .map_batches(_audio_fp_stage, batch_format="pyarrow",
+                         batch_size=32).materialize())
 
     def label(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -1557,21 +1513,15 @@ def q_audio_fp_near_dup(sf_dir):
         label, batch_format="pyarrow")
 
 
-class _VideoFpStage:
-    """Actor-pool decode → 64-bit temporal-spatial fingerprint."""
-
-    def __init__(self):
-        from .functions.media import video_decode, video_fingerprint64
-        self._decode = video_decode
-        self._fp = video_fingerprint64
-
-    def __call__(self, b: pa.Table) -> pa.Table:
-        out = []
-        for data in b["bytes"].to_pylist():
-            v = self._fp(self._decode(data))
-            out.append(v - (1 << 64) if v >= (1 << 63) else v)
-        return pa.table({"doc_id": b["doc_id"],
-                         "simhash": pa.array(out, pa.int64())})
+def _video_fp_stage(b: pa.Table) -> pa.Table:
+    """Decode → 64-bit temporal-spatial fingerprint."""
+    from .functions.media import video_decode, video_fingerprint64
+    out = []
+    for data in b["bytes"].to_pylist():
+        v = video_fingerprint64(video_decode(data))
+        out.append(v - (1 << 64) if v >= (1 << 63) else v)
+    return pa.table({"doc_id": b["doc_id"],
+                     "simhash": pa.array(out, pa.int64())})
 
 
 def _video_fp_name(d: int) -> str:
@@ -1587,8 +1537,8 @@ def q_video_fp_near_dup(sf_dir):
     (+8 brightness, ±3 per-pixel noise) that must pair with its
     original — and nothing else (measured margin: twin distance <= 3,
     distinct clips >= 18).  Raw frames are the wide payload, so the
-    decode stage runs small batches in an actor pool and only the
-    (doc_id, int64 signature) pair enters the exchange."""
+    decode stage runs small batches and only the (doc_id, int64
+    signature) pair enters the exchange."""
     from .functions.media import (perturb_video, synth_video,
                                   video_decode, video_encode)
 
@@ -1611,8 +1561,8 @@ def q_video_fp_near_dup(sf_dir):
         "doc_id": pa.array(doc_ids, pa.int64())})).repartition(4)
     sigs = (base.map_batches(clips, batch_format="pyarrow",
                              batch_size=16)
-            .map_batches(_VideoFpStage, batch_format="pyarrow",
-                         batch_size=16, concurrency=2).materialize())
+            .map_batches(_video_fp_stage, batch_format="pyarrow",
+                         batch_size=16).materialize())
 
     def label(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -1625,46 +1575,37 @@ def q_video_fp_near_dup(sf_dir):
         label, batch_format="pyarrow")
 
 
-class _FrameSampleStage:
-    """Actor-pool video decode + frame sampling (every 4th frame) +
+def _frame_sample_stage(b: pa.Table, every: int = 4) -> pa.Table:
+    """Video decode + frame sampling (every 4th frame) +
     per-sampled-frame mean/phash-style stats — the standard pre-filter
     before per-frame model inference.  Small batches: raw frames are
-    the wide payload (batch_size sized so batch x concurrency fits the
-    worker heap, per the brief's memory-awareness rule)."""
-
-    def __init__(self, every: int = 4):
-        from .functions.media import sample_frames, video_decode
-        self._decode = video_decode
-        self._sample = sample_frames
-        self.every = every
-
-    def __call__(self, b: pa.Table) -> pa.Table:
-        clip_ids, frame_idx, means = [], [], []
-        for cid, data in zip(b["clip_id"].to_pylist(),
-                             b["bytes"].to_pylist()):
-            frames = self._decode(data)
-            sampled = self._sample(frames, self.every)
-            for j, fr in zip(range(0, len(frames), self.every), sampled):
-                clip_ids.append(cid)
-                frame_idx.append(j)
-                means.append(int(round(float(fr.mean()))))
-        return pa.table({"clip_id": pa.array(clip_ids, pa.string()),
-                         "frame_idx": pa.array(frame_idx, pa.int64()),
-                         "mean_px": pa.array(means, pa.int64())})
+    the wide payload (batch_size sized so a batch per task fits the
+    worker heap)."""
+    from .functions.media import sample_frames, video_decode
+    clip_ids, frame_idx, means = [], [], []
+    for cid, data in zip(b["clip_id"].to_pylist(), b["bytes"].to_pylist()):
+        frames = video_decode(data)
+        sampled = sample_frames(frames, every)
+        for j, fr in zip(range(0, len(frames), every), sampled):
+            clip_ids.append(cid)
+            frame_idx.append(j)
+            means.append(int(round(float(fr.mean()))))
+    return pa.table({"clip_id": pa.array(clip_ids, pa.string()),
+                     "frame_idx": pa.array(frame_idx, pa.int64()),
+                     "mean_px": pa.array(means, pa.int64())})
 
 
 def q_video_frame_sample(sf_dir):
     """Multimodal video pipeline (rows-only): binary clips →
-    actor-pool decode → every-4th-frame sample → per-frame stats."""
+    decode tasks → every-4th-frame sample → per-frame stats."""
     from .functions.media import synth_video
     clips = pa.table({
         "clip_id": pa.array([f"vid-{i:06d}" for i in range(50)],
                             pa.string()),
-        "bytes": pa.array([synth_video(i) for i in range(50)],
-                          pa.binary())})
+        "bytes": binary_array([synth_video(i) for i in range(50)])})
     return (_rd().from_arrow(clips)
-            .map_batches(_FrameSampleStage, batch_format="pyarrow",
-                         batch_size=8, concurrency=2))
+            .map_batches(_frame_sample_stage, batch_format="pyarrow",
+                         batch_size=8))
 
 
 _BPE_RE = re.compile(r" ?[A-Za-z]+| ?[0-9]+| ?[^A-Za-z0-9\s]+")
@@ -1977,7 +1918,7 @@ def q_near_dup_collapse(sf_dir):
     Composition, all existing machinery: the component table marks
     losers (member != label) with one vectorized compare, and the
     corpus drops them through the coarse-bucket co-partitioned
-    membership filter — per-actor state stays O(partition); the loser
+    membership filter — per-task state stays O(partition); the loser
     set is never broadcast or driver-materialized."""
     from .queries import _membership_filter
     comp = q_near_dup_components(sf_dir)
@@ -2207,50 +2148,44 @@ def _bpe_apply_merges(word: str, merges: list[tuple]) -> list[str]:
     return syms
 
 
-class _BpeEncode:
-    """Actor-pool encode stage: the merge table is tiny (k rows) and
-    rides the constructor; a per-actor word->token-count cache makes
-    the per-batch cost one encode per DISTINCT word (Zipf: the cache
-    hit rate approaches 1 fast), everything else vectorized pandas."""
-
-    def __init__(self, merges: list[tuple]):
-        self.merges = [tuple(m) for m in merges]
-        self.cache: dict[str, int] = {}
-
-    def _n_tokens(self, word: str) -> int:
-        n = self.cache.get(word)
+def _bpe_encode(b: "pd.DataFrame", model) -> "pd.DataFrame":
+    """Encode stage: ``model`` is one object-store ref to the merge
+    table (tiny, k rows) and an empty word->token-count dict.  Both are
+    fetched once per worker process, so the dict fills across every
+    batch the process encodes: the per-batch cost is one encode per
+    DISTINCT word (Zipf: the cache hit rate approaches 1 fast),
+    everything else vectorized pandas."""
+    import pandas as pd
+    merges, cache = _broadcast_get(model)
+    words = b["text"].str.strip().str.split(r"\s+")
+    ex = words.explode()
+    lut = {}
+    for w in pd.unique(ex.dropna()):
+        n = cache.get(w)
         if n is None:
-            n = len(_bpe_apply_merges(word, self.merges))
-            self.cache[word] = n
-        return n
-
-    def __call__(self, b: "pd.DataFrame") -> "pd.DataFrame":
-        import pandas as pd
-        words = b["text"].str.strip().str.split(r"\s+")
-        ex = words.explode()
-        uniq = pd.unique(ex.dropna())
-        lut = {w: self._n_tokens(w) for w in uniq}
-        per_tok = ex.map(lut).fillna(0).astype("int64")
-        row = np.repeat(np.arange(len(b)),
-                        words.str.len().to_numpy().astype(np.int64))
-        n_bpe = np.bincount(row, weights=per_tok.to_numpy(),
-                            minlength=len(b)).astype(np.int64)
-        # initial symbols per word = chars + </w>; merges applied =
-        # initial - final (each merge removes exactly one symbol)
-        per_init = (ex.str.len().fillna(0) + 1).to_numpy()
-        n_init = np.bincount(row, weights=per_init,
-                             minlength=len(b)).astype(np.int64)
-        return pd.DataFrame({
-            "doc_id": b["doc_id"],
-            "n_tokens_bpe": n_bpe,
-            "n_merges_applied": n_init - n_bpe})
+            n = cache[w] = len(_bpe_apply_merges(w, merges))
+        lut[w] = n
+    per_tok = ex.map(lut).fillna(0).astype("int64")
+    row = np.repeat(np.arange(len(b)),
+                    words.str.len().to_numpy().astype(np.int64))
+    n_bpe = np.bincount(row, weights=per_tok.to_numpy(),
+                        minlength=len(b)).astype(np.int64)
+    # initial symbols per word = chars + </w>; merges applied =
+    # initial - final (each merge removes exactly one symbol)
+    per_init = (ex.str.len().fillna(0) + 1).to_numpy()
+    n_init = np.bincount(row, weights=per_init,
+                         minlength=len(b)).astype(np.int64)
+    return pd.DataFrame({
+        "doc_id": b["doc_id"],
+        "n_tokens_bpe": n_bpe,
+        "n_merges_applied": n_init - n_bpe})
 
 
 def q_bpe_encode(sf_dir):
     """BPE tokenization apply — the encode pass every training
     pipeline actually runs after `bpe_train`: learn the merge table
     once (vocabulary-sized work), broadcast it, and stream the corpus
-    through an actor-pool encode stage emitting per-doc BPE token
+    through encode tasks emitting per-doc BPE token
     counts.  Rows-only (the token stream depends on the learned
     merges; pinned by pytest: distributed == an independent
     sequential encoder over the same corpus, plus the exact
@@ -2258,15 +2193,13 @@ def q_bpe_encode(sf_dir):
     n_merges_applied).
 
     Scale shape: training is q_bpe_train's one groupby-sum; encode is
-    ONE streaming map_batches pass with per-actor distinct-word
-    caching — no shuffle, merges ride the constructor once per
-    actor."""
-    merges = _bpe_train_merges(sf_dir)
+    ONE streaming map_batches pass with per-process distinct-word
+    caching — no shuffle, merges ride one object-store ref fetched
+    once per worker process."""
+    merges = [tuple(m) for m in _bpe_train_merges(sf_dir)]
     return (_read(sf_dir, "documents", ["doc_id", "text"])
-            .map_batches(_BpeEncode, fn_constructor_kwargs={
-                             "merges": merges},
-                         concurrency=(1, 8), batch_format="pandas",
-                         max_restarts=0))
+            .map_batches(_bpe_encode, batch_format="pandas",
+                         fn_kwargs={"model": ray.put((merges, {}))}))
 
 
 def q_bpe_token_counts(sf_dir):
@@ -2555,6 +2488,27 @@ def _decontaminate_shuffled(docs):
             .aggregate(Sum("one", alias_name="n_hits")))
 
 
+def _count_contaminated(b: pa.Table, bench) -> pa.Table:
+    """Probe pass of ``q_decontaminate``: ``bench`` is a ref to the
+    sorted (np.unique output) benchmark gram hashes; one searchsorted
+    per non-holdout doc counts its overlapping grams."""
+    bench = _broadcast_get(bench)
+    ids_out, hits = [], []
+    nb = len(bench)
+    for doc_id, t in zip(b["doc_id"].to_numpy(), b["text"].to_pylist()):
+        if doc_id % _DECON_MOD == 0 or not nb:
+            continue
+        h = _gram_hashes(t).view(np.int64)
+        idx = np.searchsorted(bench, h)
+        idx[idx == nb] = 0
+        n = int((bench[idx] == h).sum())
+        if n:
+            ids_out.append(int(doc_id))
+            hits.append(n)
+    return pa.table({"doc_id": pa.array(ids_out, pa.int64()),
+                     "n_hits": pa.array(hits, pa.int64())})
+
+
 def q_decontaminate(sf_dir):
     """Benchmark decontamination: flag corpus docs sharing any word
     13-gram with the eval set (docs with doc_id % 50 == 0 stand in for
@@ -2574,33 +2528,8 @@ def q_decontaminate(sf_dir):
     bench = _collect_bench_grams(docs)
     if bench is None:
         return _decontaminate_shuffled(docs)
-    bench_ref = ray.put(bench)
-
-    class _Contaminated:
-        def __init__(self, ref):
-            self.bench = ray.get(ref)   # sorted (np.unique output)
-
-        def __call__(self, b: pa.Table) -> pa.Table:
-            ids_out, hits = [], []
-            ids = b["doc_id"].to_numpy()
-            nb = len(self.bench)
-            for doc_id, t in zip(ids, b["text"].to_pylist()):
-                if doc_id % _DECON_MOD == 0 or not nb:
-                    continue
-                h = _gram_hashes(t).view(np.int64)
-                idx = np.searchsorted(self.bench, h)
-                idx[idx == nb] = 0
-                n = int((self.bench[idx] == h).sum())
-                if n:
-                    ids_out.append(int(doc_id))
-                    hits.append(n)
-            return pa.table({"doc_id": pa.array(ids_out, pa.int64()),
-                             "n_hits": pa.array(hits, pa.int64())})
-
-    return docs.map_batches(_Contaminated,
-                            fn_constructor_kwargs={"ref": bench_ref},
-                            concurrency=(1, 8), batch_format="pyarrow",
-                            max_restarts=0)
+    return docs.map_batches(_count_contaminated, batch_format="pyarrow",
+                            fn_kwargs={"bench": ray.put(bench)})
 
 
 # ---------------------------------------------------------------------------
@@ -2641,27 +2570,23 @@ def _curate_gate(b: pa.Table) -> pa.Table:
     }).filter(pa.array(keep))
 
 
-class _DropContaminated:
-    """Streaming contamination filter: per-actor sorted bench-gram
-    array (fetched once from the object store in __init__), one
+def _drop_contaminated(b: pa.Table, bench) -> pa.Table:
+    """Streaming contamination filter: ``bench`` is a ref to the sorted
+    bench-gram array (fetched once per worker process); one
     searchsorted per doc."""
-
-    def __init__(self, ref):
-        self.bench = ray.get(ref)   # sorted (np.unique output)
-
-    def __call__(self, b: pa.Table) -> pa.Table:
-        nb = len(self.bench)
-        if not nb:
-            return b
-        keep = np.ones(len(b), dtype=bool)
-        for i, t in enumerate(b["norm_text"].to_pylist()):
-            h = _gram_hashes(t).view(np.int64)
-            if len(h):
-                idx = np.searchsorted(self.bench, h)
-                idx[idx == nb] = 0
-                if (self.bench[idx] == h).any():
-                    keep[i] = False
-        return b.filter(pa.array(keep))
+    bench = _broadcast_get(bench)
+    nb = len(bench)
+    if not nb:
+        return b
+    keep = np.ones(len(b), dtype=bool)
+    for i, t in enumerate(b["norm_text"].to_pylist()):
+        h = _gram_hashes(t).view(np.int64)
+        if len(h):
+            idx = np.searchsorted(bench, h)
+            idx[idx == nb] = 0
+            if (bench[idx] == h).any():
+                keep[i] = False
+    return b.filter(pa.array(keep))
 
 
 # survivor-row schema of the curation gate (also the sentinel schema
@@ -2679,7 +2604,7 @@ def _drop_ids_copartitioned(rows, drop_ids, n_buckets: int = 64,
     coarse hash bucket of doc_id (drop side pre-distincted per batch,
     null-sentinel payload columns so the union schema matches), and
     each group drops its members with one vectorized np.isin —
-    per-actor state O(partition), nothing broadcast.  The
+    per-task state O(partition), nothing broadcast.  The
     payload-preserving sibling of queries._membership_filter.
 
     ``payload_schema`` is ``rows``'s schema minus doc_id, in row-table
@@ -2763,8 +2688,8 @@ def q_curate_corpus(sf_dir):
     bench = _collect_bench_grams(holdout)
     if bench is not None:
         clean = survivors.map_batches(
-            _DropContaminated, fn_constructor_kwargs={"ref": ray.put(bench)},
-            concurrency=(1, 8), batch_format="pyarrow", max_restarts=0)
+            _drop_contaminated, batch_format="pyarrow",
+            fn_kwargs={"bench": ray.put(bench)})
     else:
         def surv_text(b: pa.Table) -> pa.Table:
             return pa.table({"doc_id": b["doc_id"],
@@ -3104,7 +3029,7 @@ def q_image_caption_gate(sf_dir):
     rows = _image_caption_rows()
     t = pa.table({
         "image_id": pa.array([r["image_id"] for r in rows], pa.string()),
-        "bytes": pa.array([r["bytes"] for r in rows], pa.binary()),
+        "bytes": binary_array([r["bytes"] for r in rows]),
         "w": pa.array([r["w"] for r in rows], pa.int32()),
         "h": pa.array([r["h"] for r in rows], pa.int32()),
         "fmt": pa.array([r["fmt"] for r in rows], pa.string()),
@@ -3195,39 +3120,34 @@ def _collect_lm_counts(docs):
     return model
 
 
-class _LmScore:
-    """Broadcast scorer: the trained count table rides the actor
-    constructor once; each non-holdout doc folds its bigram positions
-    into (n_bigrams, mass, n_oov) locally — zero shuffle."""
-
-    def __init__(self, ref):
-        self.model = ray.get(ref)
-
-    def __call__(self, b: pa.Table) -> pa.Table:
-        model = self.model
-        ids, nb, mass, oov = [], [], [], []
-        for doc_id, t in zip(b["doc_id"].to_numpy(),
-                             b["text"].to_pylist()):
-            if doc_id % _DECON_MOD == 0:
-                continue
-            ws = t.split()
-            if len(ws) < 2:
-                continue
-            n = m = v = 0
-            for g, k in _doc_bigram_counts(ws).items():
-                c = model.get(g, 0)
-                n += k
-                m += k * c
-                if not c:
-                    v += k
-            ids.append(int(doc_id))
-            nb.append(n)
-            mass.append(m)
-            oov.append(v)
-        return pa.table({"doc_id": pa.array(ids, pa.int64()),
-                         "n_bigrams": pa.array(nb, pa.int64()),
-                         "mass": pa.array(mass, pa.int64()),
-                         "n_oov": pa.array(oov, pa.int64())})
+def _lm_score(b: pa.Table, model) -> pa.Table:
+    """Broadcast scorer: ``model`` is a ref to the trained count table,
+    fetched once per worker process; each non-holdout doc folds its
+    bigram positions into (n_bigrams, mass, n_oov) locally — zero
+    shuffle."""
+    model = _broadcast_get(model)
+    ids, nb, mass, oov = [], [], [], []
+    for doc_id, t in zip(b["doc_id"].to_numpy(), b["text"].to_pylist()):
+        if doc_id % _DECON_MOD == 0:
+            continue
+        ws = t.split()
+        if len(ws) < 2:
+            continue
+        n = m = v = 0
+        for g, k in _doc_bigram_counts(ws).items():
+            c = model.get(g, 0)
+            n += k
+            m += k * c
+            if not c:
+                v += k
+        ids.append(int(doc_id))
+        nb.append(n)
+        mass.append(m)
+        oov.append(v)
+    return pa.table({"doc_id": pa.array(ids, pa.int64()),
+                     "n_bigrams": pa.array(nb, pa.int64()),
+                     "mass": pa.array(mass, pa.int64()),
+                     "n_oov": pa.array(oov, pa.int64())})
 
 
 def _lm_score_shuffled(docs):
@@ -3311,11 +3231,8 @@ def q_lm_bigram_score(sf_dir):
     model = _collect_lm_counts(docs)
     if model is None:
         return _lm_score_shuffled(docs)
-    ref = ray.put(model)
-    return docs.map_batches(_LmScore,
-                            fn_constructor_kwargs={"ref": ref},
-                            concurrency=(1, 8), batch_format="pyarrow",
-                            max_restarts=0)
+    return docs.map_batches(_lm_score, batch_format="pyarrow",
+                            fn_kwargs={"model": ray.put(model)})
 
 
 # ---------------------------------------------------------------------------
@@ -3397,36 +3314,29 @@ def _collect_dup_line_winners(docs):
     return {ln: (v[0], v[1]) for ln, v in best.items() if v[2] > 1}
 
 
-class _LineDedupApply:
-    """Second pass of the broadcast path: the winner dict rides the
-    actor constructor once; each doc re-derives its lines locally and
-    keeps a line iff it is not a corpus-wide duplicate or this
-    occurrence IS the elected first one.  The document never leaves its
-    block — zero text shuffle."""
-
-    def __init__(self, ref):
-        self.winners = ray.get(ref)
-
-    def __call__(self, b: pa.Table) -> pa.Table:
-        win = self.winners
-        ids, texts, n_l, n_k = [], [], [], []
-        for doc_id, t in zip(b["doc_id"].to_numpy(),
-                             b["text"].to_pylist()):
-            ws = t.split()
-            if not ws:
-                continue
-            lines = _doc_line_strings(ws)
-            kept = [ln for no, ln in enumerate(lines)
-                    if win.get(ln) is None
-                    or win[ln] == (int(doc_id), no)]
-            ids.append(int(doc_id))
-            texts.append(" ".join(kept))
-            n_l.append(len(lines))
-            n_k.append(len(kept))
-        return pa.table({"doc_id": pa.array(ids, pa.int64()),
-                         "clean_text": pa.array(texts, pa.string()),
-                         "n_lines": pa.array(n_l, pa.int64()),
-                         "n_lines_kept": pa.array(n_k, pa.int64())})
+def _line_dedup_apply(b: pa.Table, winners) -> pa.Table:
+    """Second pass of the broadcast path: ``winners`` is a ref to the
+    winner dict, fetched once per worker process; each doc re-derives
+    its lines locally and keeps a line iff it is not a corpus-wide
+    duplicate or this occurrence IS the elected first one.  The
+    document never leaves its block — zero text shuffle."""
+    win = _broadcast_get(winners)
+    ids, texts, n_l, n_k = [], [], [], []
+    for doc_id, t in zip(b["doc_id"].to_numpy(), b["text"].to_pylist()):
+        ws = t.split()
+        if not ws:
+            continue
+        lines = _doc_line_strings(ws)
+        kept = [ln for no, ln in enumerate(lines)
+                if win.get(ln) is None or win[ln] == (int(doc_id), no)]
+        ids.append(int(doc_id))
+        texts.append(" ".join(kept))
+        n_l.append(len(lines))
+        n_k.append(len(kept))
+    return pa.table({"doc_id": pa.array(ids, pa.int64()),
+                     "clean_text": pa.array(texts, pa.string()),
+                     "n_lines": pa.array(n_l, pa.int64()),
+                     "n_lines_kept": pa.array(n_k, pa.int64())})
 
 
 def _line_dedup_shuffled(docs):
@@ -3511,11 +3421,8 @@ def q_line_dedup(sf_dir):
     winners = _collect_dup_line_winners(docs)
     if winners is None:
         return _line_dedup_shuffled(docs)
-    ref = ray.put(winners)
-    return docs.map_batches(_LineDedupApply,
-                            fn_constructor_kwargs={"ref": ref},
-                            concurrency=(1, 8), batch_format="pyarrow",
-                            max_restarts=0)
+    return docs.map_batches(_line_dedup_apply, batch_format="pyarrow",
+                            fn_kwargs={"winners": ray.put(winners)})
 
 
 ORACLES: dict[str, str] = {
@@ -3971,37 +3878,31 @@ def _dsir_buckets(words: list[str]) -> np.ndarray:
     return out
 
 
-class _DsirScore:
-    """Scoring pass: the two fixed-size count vectors ride ONE ray.put
-    into each actor's constructor; per doc the masses are two
-    vectorized gathers over the bucket array."""
-
-    def __init__(self, ref):
-        self.tvec, self.rvec, self.tt, self.rt = ray.get(ref)
-
-    def __call__(self, b: pa.Table) -> pa.Table:
-        ids, n_g, tm, rm, sel = [], [], [], [], []
-        tt, rt = self.tt, self.rt
-        for doc_id, t in zip(b["doc_id"].to_numpy(),
-                             b["text"].to_pylist()):
-            if doc_id % 50 == 0:
-                continue
-            ws = t.split()
-            if not ws:
-                continue
-            bx = _dsir_buckets(ws)
-            t_mass = int(self.tvec[bx].sum())
-            r_mass = int(self.rvec[bx].sum())
-            ids.append(int(doc_id))
-            n_g.append(len(bx))
-            tm.append(t_mass)
-            rm.append(r_mass)
-            sel.append(t_mass * rt > r_mass * tt)
-        return pa.table({"doc_id": pa.array(ids, pa.int64()),
-                         "n_grams": pa.array(n_g, pa.int64()),
-                         "target_mass": pa.array(tm, pa.int64()),
-                         "raw_mass": pa.array(rm, pa.int64()),
-                         "selected": pa.array(sel, pa.bool_())})
+def _dsir_score(b: pa.Table, model) -> pa.Table:
+    """Scoring pass: ``model`` is ONE ref to the two fixed-size count
+    vectors and their totals, fetched once per worker process; per doc
+    the masses are two vectorized gathers over the bucket array."""
+    tvec, rvec, tt, rt = _broadcast_get(model)
+    ids, n_g, tm, rm, sel = [], [], [], [], []
+    for doc_id, t in zip(b["doc_id"].to_numpy(), b["text"].to_pylist()):
+        if doc_id % 50 == 0:
+            continue
+        ws = t.split()
+        if not ws:
+            continue
+        bx = _dsir_buckets(ws)
+        t_mass = int(tvec[bx].sum())
+        r_mass = int(rvec[bx].sum())
+        ids.append(int(doc_id))
+        n_g.append(len(bx))
+        tm.append(t_mass)
+        rm.append(r_mass)
+        sel.append(t_mass * rt > r_mass * tt)
+    return pa.table({"doc_id": pa.array(ids, pa.int64()),
+                     "n_grams": pa.array(n_g, pa.int64()),
+                     "target_mass": pa.array(tm, pa.int64()),
+                     "raw_mass": pa.array(rm, pa.int64()),
+                     "selected": pa.array(sel, pa.bool_())})
 
 
 def q_dsir_select(sf_dir):
@@ -4048,11 +3949,9 @@ def q_dsir_select(sf_dir):
         bx = part["b"].to_numpy()
         tvec[bx] += part["tc"].to_numpy()
         rvec[bx] += part["rc"].to_numpy()
-    ref = ray.put((tvec, rvec, int(tvec.sum()), int(rvec.sum())))
-    return docs.map_batches(_DsirScore,
-                            fn_constructor_kwargs={"ref": ref},
-                            concurrency=(1, 8), batch_format="pyarrow",
-                            max_restarts=0)
+    model = ray.put((tvec, rvec, int(tvec.sum()), int(rvec.sum())))
+    return docs.map_batches(_dsir_score, batch_format="pyarrow",
+                            fn_kwargs={"model": model})
 
 
 ORACLES["dsir_select"] = rf"""
@@ -4153,31 +4052,26 @@ def _collect_dup_windows(docs):
     return frozenset(d for d, c in cnt.items() if c >= 2)
 
 
-class _SubstrRewrite:
-    """Broadcast-path rewrite: the duplicated-digest set rides one
-    ray.put; each doc re-derives its windows locally and drops every
-    token covered by a duplicated window — zero text shuffle."""
-
-    def __init__(self, ref):
-        self.dup = ray.get(ref)
-
-    def __call__(self, b: pa.Table) -> pa.Table:
-        dup = self.dup
-        rows = []
-        for doc_id, t in zip(b["doc_id"].to_numpy(),
-                             b["text"].to_pylist()):
-            ws = t.split()
-            if not ws:
-                continue
-            starts = np.fromiter(
-                (i for i, d in enumerate(_substr_digests(ws))
-                 if d in dup), dtype=np.int64)
-            rows.append(_substr_rebuild_row(int(doc_id), ws, starts))
-        return pa.table({
-            "doc_id": pa.array([r[0] for r in rows], pa.int64()),
-            "clean_text": pa.array([r[1] for r in rows], pa.string()),
-            "n_tokens": pa.array([r[2] for r in rows], pa.int64()),
-            "n_tokens_kept": pa.array([r[3] for r in rows], pa.int64())})
+def _substr_rewrite(b: pa.Table, dup) -> pa.Table:
+    """Broadcast-path rewrite: ``dup`` is a ref to the duplicated-digest
+    set, fetched once per worker process; each doc re-derives its
+    windows locally and drops every token covered by a duplicated
+    window — zero text shuffle."""
+    dup = _broadcast_get(dup)
+    rows = []
+    for doc_id, t in zip(b["doc_id"].to_numpy(), b["text"].to_pylist()):
+        ws = t.split()
+        if not ws:
+            continue
+        starts = np.fromiter(
+            (i for i, d in enumerate(_substr_digests(ws)) if d in dup),
+            dtype=np.int64)
+        rows.append(_substr_rebuild_row(int(doc_id), ws, starts))
+    return pa.table({
+        "doc_id": pa.array([r[0] for r in rows], pa.int64()),
+        "clean_text": pa.array([r[1] for r in rows], pa.string()),
+        "n_tokens": pa.array([r[2] for r in rows], pa.int64()),
+        "n_tokens_kept": pa.array([r[3] for r in rows], pa.int64())})
 
 
 def _substr_dedup_shuffled(docs):
@@ -4271,11 +4165,8 @@ def q_substring_dedup(sf_dir):
     dup = _collect_dup_windows(docs)
     if dup is None:
         return _substr_dedup_shuffled(docs)
-    ref = ray.put(dup)
-    return docs.map_batches(_SubstrRewrite,
-                            fn_constructor_kwargs={"ref": ref},
-                            concurrency=(1, 8), batch_format="pyarrow",
-                            max_restarts=0)
+    return docs.map_batches(_substr_rewrite, batch_format="pyarrow",
+                            fn_kwargs={"dup": ray.put(dup)})
 
 
 ORACLES["substring_dedup"] = r"""
@@ -4855,43 +4746,38 @@ def _image_quality_rows(n: int | None = None) -> list[dict]:
     return rows
 
 
-class _ImageQualityStage:
-    """Actor-pool decode + integer exposure statistics: per image the
-    3-channel luma sum (0..765) gives mean (floor division — engine
-    exact) and range; flags are integer-threshold compares.  Decode
-    state built once per actor; payload bytes never leave the stage."""
-
-    def __init__(self):
-        from .functions.imaging import decode_image
-        self._decode = decode_image
-
-    def __call__(self, b: pa.Table) -> pa.Table:
-        ids, lum, spread, reason = [], [], [], []
-        for img_id, data in zip(b["image_id"].to_pylist(),
-                                b["bytes"].to_pylist()):
-            px = self._decode(data).astype(np.int64)
-            l3 = px.sum(axis=2)
-            m = int(l3.sum()) // l3.size
-            s = int(l3.max() - l3.min())
-            r = ((m < _IMGQ_DARK_MAX) * 1
-                 + (m > _IMGQ_BRIGHT_MIN) * 2
-                 + (s < _IMGQ_SPREAD_MIN) * 4)
-            ids.append(img_id)
-            lum.append(m)
-            spread.append(s)
-            reason.append(r)
-        return pa.table({
-            "image_id": pa.array(ids, pa.string()),
-            "lum_mean3": pa.array(lum, pa.int64()),
-            "lum_spread3": pa.array(spread, pa.int64()),
-            "reason": pa.array(reason, pa.int64()),
-            "keep": pa.array([int(r == 0) for r in reason], pa.int64())})
+def _image_quality_stage(b: pa.Table) -> pa.Table:
+    """Decode + integer exposure statistics: per image the 3-channel
+    luma sum (0..765) gives mean (floor division — engine exact) and
+    range; flags are integer-threshold compares.  Payload bytes never
+    leave the stage."""
+    from .functions.imaging import decode_image
+    ids, lum, spread, reason = [], [], [], []
+    for img_id, data in zip(b["image_id"].to_pylist(),
+                            b["bytes"].to_pylist()):
+        px = decode_image(data).astype(np.int64)
+        l3 = px.sum(axis=2)
+        m = int(l3.sum()) // l3.size
+        s = int(l3.max() - l3.min())
+        r = ((m < _IMGQ_DARK_MAX) * 1
+             + (m > _IMGQ_BRIGHT_MIN) * 2
+             + (s < _IMGQ_SPREAD_MIN) * 4)
+        ids.append(img_id)
+        lum.append(m)
+        spread.append(s)
+        reason.append(r)
+    return pa.table({
+        "image_id": pa.array(ids, pa.string()),
+        "lum_mean3": pa.array(lum, pa.int64()),
+        "lum_spread3": pa.array(spread, pa.int64()),
+        "reason": pa.array(reason, pa.int64()),
+        "keep": pa.array([int(r == 0) for r in reason], pa.int64())})
 
 
 def q_image_quality_stats(sf_dir):
     """Image exposure/uniformity quality gate (the LAION-style
     brightness + solid-color prefilter a web image pipeline runs
-    before any model scoring): actor-pool decode → integer luma
+    before any model scoring): decode tasks → integer luma
     statistics → reason bitmask (1 too dark, 2 blown out, 4 flat) —
     rows-only (synthetic image table; pinned by a driver-side kernel
     mirror + planted-degenerate accounting in pytest).
@@ -4903,12 +4789,11 @@ def q_image_quality_stats(sf_dir):
     rows = _image_quality_rows()
     t = pa.table({
         "image_id": pa.array([r["image_id"] for r in rows], pa.string()),
-        "bytes": pa.array([r["bytes"] for r in rows], pa.binary()),
+        "bytes": binary_array([r["bytes"] for r in rows]),
     })
     return (_rd().from_arrow(t)
-            .map_batches(_ImageQualityStage, batch_format="pyarrow",
-                         batch_size=64, concurrency=2,
-                         max_restarts=0))
+            .map_batches(_image_quality_stage, batch_format="pyarrow",
+                         batch_size=64))
 
 
 def q_ccnet_buckets(sf_dir):
@@ -5015,7 +4900,7 @@ def q_image_aspect_buckets(sf_dir):
     rows = _image_caption_rows()
     t = pa.table({
         "image_id": pa.array([r["image_id"] for r in rows], pa.string()),
-        "bytes": pa.array([r["bytes"] for r in rows], pa.binary()),
+        "bytes": binary_array([r["bytes"] for r in rows]),
         "w": pa.array([r["w"] for r in rows], pa.int32()),
         "h": pa.array([r["h"] for r in rows], pa.int32()),
     })
@@ -5654,34 +5539,28 @@ def _collect_dim_absmax(ds) -> np.ndarray:
     return np.maximum(m, np.float32(1e-12))
 
 
-class _Int8Quantize:
-    """Pass 2: symmetric per-dimension int8 quantization.  The scale
-    vector rides the actor constructor once (ray.put broadcast);
+def _int8_quantize(b: pa.Table, scale) -> pa.Table:
+    """Pass 2: symmetric per-dimension int8 quantization.  ``scale`` is
+    a ref to the scale vector (fetched once per worker process);
     codes = rint(x * 127 / scale) clipped to [-127, 127].  Per-vector
     audit integers: max_abs_code and err_ppm = max_d |x - dequant| /
     scale_d in ppm — the reconstruction-error bound an ANN recall
     budget is set from.  float32 arithmetic throughout, so an
     independent numpy mirror reproduces the codes bit-for-bit."""
-
-    def __init__(self, ref):
-        scale = ray.get(ref)
-        self._scale = scale
-        self._inv = (np.float32(127.0) / scale).astype(np.float32)
-
-    def __call__(self, b: pa.Table) -> pa.Table:
-        E = _embedding_matrix(b).astype(np.float32)
-        codes = np.clip(np.rint(E * self._inv), -127, 127
-                        ).astype(np.int8)
-        deq = codes.astype(np.float32) * (self._scale / np.float32(127.0))
-        err = np.abs(E - deq) / self._scale
-        err_ppm = np.floor(err.max(axis=1).astype(np.float64)
-                           * 1_000_000).astype(np.int64)
-        return pa.table({
-            "vec_id": b["vec_id"],
-            "codes": pa.array(list(codes), pa.list_(pa.int8())),
-            "max_abs_code": pa.array(
-                np.abs(codes.astype(np.int64)).max(axis=1)),
-            "err_ppm": pa.array(err_ppm)})
+    scale = _broadcast_get(scale)
+    E = _embedding_matrix(b).astype(np.float32)
+    inv = (np.float32(127.0) / scale).astype(np.float32)
+    codes = np.clip(np.rint(E * inv), -127, 127).astype(np.int8)
+    deq = codes.astype(np.float32) * (scale / np.float32(127.0))
+    err = np.abs(E - deq) / scale
+    err_ppm = np.floor(err.max(axis=1).astype(np.float64)
+                       * 1_000_000).astype(np.int64)
+    return pa.table({
+        "vec_id": b["vec_id"],
+        "codes": pa.array(list(codes), pa.list_(pa.int8())),
+        "max_abs_code": pa.array(
+            np.abs(codes.astype(np.int64)).max(axis=1)),
+        "err_ppm": pa.array(err_ppm)})
 
 
 def q_embedding_quantize(sf_dir):
@@ -5690,7 +5569,7 @@ def q_embedding_quantize(sf_dir):
     float32; int8 matmul kernels downstream).  Two streaming passes,
     zero shuffle: pass 1 folds per-batch per-dimension |x| maxima into
     the scale vector on the driver (dim-sized, tiny); the vector
-    broadcasts once via ray.put into an actor pool whose pass 2 emits
+    broadcasts once via ray.put into map tasks whose pass 2 emits
     codes + integer reconstruction-error audit columns.  rows-only
     (float-derived codes have no SQL oracle); pinned by pytest: an
     independent numpy mirror reproduces every code byte, err_ppm <=
@@ -5699,11 +5578,9 @@ def q_embedding_quantize(sf_dir):
     shortlist for >= 95% of probes (the quantized-scan + float-re-rank
     recall an ANN pipeline budgets for)."""
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    ref = ray.put(_collect_dim_absmax(ds))
-    return ds.map_batches(_Int8Quantize,
-                          fn_constructor_kwargs={"ref": ref},
-                          concurrency=(1, 8), batch_format="pyarrow",
-                          max_restarts=0)
+    scale = ray.put(_collect_dim_absmax(ds))
+    return ds.map_batches(_int8_quantize, batch_format="pyarrow",
+                          fn_kwargs={"scale": scale})
 
 
 # ---------------------------------------------------------------------------
@@ -5791,11 +5668,24 @@ _CLIP_DIM = 16
 _CLIP_THRESH_PPM = 120_000     # cos^2 >= 0.12, i.e. cos >= ~0.35
 
 
-class _ClipStubScore:
+_CLIP_LUMA_W = np.array([299, 587, 114], dtype=np.int64)
+
+
+def _clip_image_emb(data) -> np.ndarray:
+    from .functions.imaging import decode_image
+    luma = (decode_image(data).astype(np.int64) * _CLIP_LUMA_W) \
+        .sum(axis=2) // 1000
+    h = np.bincount(luma.ravel() * _CLIP_DIM // 256,
+                    minlength=_CLIP_DIM)[:_CLIP_DIM]
+    return h * 1000 // int(h.sum())
+
+
+def _clip_stub_score(b: pa.Table) -> pa.Table:
     """DataComp-style CLIP-score filtering stage with STUB encoders
     (the image/text towers are deterministic fakes — a real CLIP would
-    load here in __init__ outside this sandbox; the Ray-side plumbing
-    — actor pool, batched encode, integer gate — is real and tested).
+    load here, once per worker process; the
+    Ray-side plumbing — batched encode tasks, integer gate — is real
+    and tested).
 
     Image tower: decode -> integer luma -> 16-bin histogram quantized
     to permille of the pixel count (resolution-independent, bounded
@@ -5806,51 +5696,37 @@ class _ClipStubScore:
     (|a|^2 * |b|^2) — every intermediate fits int64 by the permille
     bound, so an independent mirror reproduces it bit-for-bit.  Empty
     captions score 0 and always drop."""
-
-    def __init__(self):
-        from .functions.imaging import decode_image
-        self._decode = decode_image
-        self._w = np.array([299, 587, 114], dtype=np.int64)
-
-    def _image_emb(self, data: bytes) -> np.ndarray:
-        px = self._decode(data)
-        luma = (px.astype(np.int64) * self._w).sum(axis=2) // 1000
-        h = np.bincount(luma.ravel() * _CLIP_DIM // 256,
-                        minlength=_CLIP_DIM)[:_CLIP_DIM]
-        return h * 1000 // int(h.sum())
-
-    def __call__(self, b: pa.Table) -> pa.Table:
-        a = np.stack([self._image_emb(d) for d in
-                      b["bytes"].to_pylist()]).astype(np.int64)
-        caps = [c.split() for c in b["caption"].to_pylist()]
-        n_tok = np.array([len(t) for t in caps], dtype=np.int64)
-        flat = [w for t in caps for w in t]
-        t_emb = np.zeros((len(caps), _CLIP_DIM), dtype=np.int64)
-        if flat:
-            buck = (_word_hashes(flat) % _CLIP_DIM).astype(np.int64)
-            row = np.repeat(np.arange(len(caps)), n_tok)
-            np.add.at(t_emb, (row, buck), 1)
-        dot = (a * t_emb).sum(axis=1)
-        na = (a * a).sum(axis=1)
-        nb = (t_emb * t_emb).sum(axis=1)
-        denom = np.maximum(na * nb, 1)
-        ppm = dot * dot * 1_000_000 // denom
-        ppm[nb == 0] = 0
-        keep = (ppm >= _CLIP_THRESH_PPM).astype(np.int64)
-        return pa.table({"image_id": b["image_id"],
-                         "n_caption_tokens": pa.array(n_tok),
-                         "score_ppm": pa.array(ppm.astype(np.int64)),
-                         "keep": pa.array(keep)})
+    a = np.stack([_clip_image_emb(d) for d in
+                  b["bytes"].to_pylist()]).astype(np.int64)
+    caps = [c.split() for c in b["caption"].to_pylist()]
+    n_tok = np.array([len(t) for t in caps], dtype=np.int64)
+    flat = [w for t in caps for w in t]
+    t_emb = np.zeros((len(caps), _CLIP_DIM), dtype=np.int64)
+    if flat:
+        buck = (_word_hashes(flat) % _CLIP_DIM).astype(np.int64)
+        row = np.repeat(np.arange(len(caps)), n_tok)
+        np.add.at(t_emb, (row, buck), 1)
+    dot = (a * t_emb).sum(axis=1)
+    na = (a * a).sum(axis=1)
+    nb = (t_emb * t_emb).sum(axis=1)
+    denom = np.maximum(na * nb, 1)
+    ppm = dot * dot * 1_000_000 // denom
+    ppm[nb == 0] = 0
+    keep = (ppm >= _CLIP_THRESH_PPM).astype(np.int64)
+    return pa.table({"image_id": b["image_id"],
+                     "n_caption_tokens": pa.array(n_tok),
+                     "score_ppm": pa.array(ppm.astype(np.int64)),
+                     "keep": pa.array(keep)})
 
 
 def q_clip_score_gate(sf_dir):
     """Image-text alignment filtering (the DataComp/LAION CLIP-score
     gate — keep pairs whose image embedding and caption embedding are
     cosine-close) over the input-hint image+caption table.  Encoders
-    are deterministic stubs (see `_ClipStubScore`); everything a real
-    deployment needs from the ENGINE is exercised: stateful actor-pool
-    stage (model binds once per actor in __init__), small batches
-    because payloads are wide, per-row score with ZERO exchange —
+    are deterministic stubs (see `_clip_stub_score`); everything a real
+    deployment needs from the ENGINE is exercised: batched scoring
+    tasks, small batches because payloads are wide, per-row score
+    with ZERO exchange —
     payload bytes never leave the scoring stage, the output is ~32
     B/row of metadata.  rows-only (DuckDB holds no view of the image
     table); pinned by pytest against an independent per-row integer
@@ -5860,12 +5736,12 @@ def q_clip_score_gate(sf_dir):
     rows = _image_caption_rows()
     t = pa.table({
         "image_id": pa.array([r["image_id"] for r in rows], pa.string()),
-        "bytes": pa.array([r["bytes"] for r in rows], pa.binary()),
+        "bytes": binary_array([r["bytes"] for r in rows]),
         "caption": pa.array([r["caption"] for r in rows], pa.string()),
     })
     return (_rd().from_arrow(t)
-            .map_batches(_ClipStubScore, batch_format="pyarrow",
-                         batch_size=64, concurrency=2))
+            .map_batches(_clip_stub_score, batch_format="pyarrow",
+                         batch_size=64))
 
 
 # ---------------------------------------------------------------------------
@@ -5893,7 +5769,7 @@ def q_image_exact_dedup(sf_dir):
     rows = _image_caption_rows()
     t = pa.table({
         "image_id": pa.array([r["image_id"] for r in rows], pa.string()),
-        "bytes": pa.array([r["bytes"] for r in rows], pa.binary()),
+        "bytes": binary_array([r["bytes"] for r in rows]),
     })
 
     def digest(b: pa.Table) -> pa.Table:
@@ -6559,44 +6435,38 @@ def q_caption_dup_filter(sf_dir):
     return partition_apply(ds, "h", verdict, schema)
 
 
-class _ImageCurateDecode:
-    """Actor-pool stage for the image-curation composition: ONE pass
-    over the payload bytes computes the exact-dedup digest
-    (md5-high63 of the encoded bytes — identical pixels fetched twice
-    encode identically in the synthetic codec) AND the decoded luma
-    exposure gates; everything downstream is ~48 B/row metadata."""
-
-    def __init__(self):
-        from .functions.imaging import decode_image
-        self._decode = decode_image
-
-    def __call__(self, b: pa.Table) -> pa.Table:
-        import hashlib as _h
-        digests, reasons = [], []
-        for data in b["bytes"].to_pylist():
-            digests.append(int.from_bytes(
-                _h.md5(data).digest()[:8], "big") >> 1)
-            px = self._decode(data).astype(np.int64)
-            l3 = px.sum(axis=2)
-            m = int(l3.sum()) // l3.size
-            s = int(l3.max() - l3.min())
-            reasons.append((m < _IMGQ_DARK_MAX) * 16
-                           + (m > _IMGQ_BRIGHT_MIN) * 32
-                           + (s < _IMGQ_SPREAD_MIN) * 64)
-        return pa.table({
-            "image_id": b["image_id"],
-            "w": b["w"].cast(pa.int64()),
-            "h": b["h"].cast(pa.int64()),
-            "caption": b["caption"],
-            "digest": pa.array(digests, pa.int64()),
-            "reason": pa.array(np.asarray(reasons, np.int64))})
+def _image_curate_decode(b: pa.Table) -> pa.Table:
+    """Decode stage of the image-curation composition: ONE pass over
+    the payload bytes computes the exact-dedup digest (md5-high63 of
+    the encoded bytes — identical pixels fetched twice encode
+    identically in the synthetic codec) AND the decoded luma exposure
+    gates; everything downstream is ~48 B/row metadata."""
+    from .functions.imaging import decode_image
+    digests, reasons = [], []
+    for data in b["bytes"].to_pylist():
+        digests.append(int.from_bytes(
+            hashlib.md5(data).digest()[:8], "big") >> 1)
+        px = decode_image(data).astype(np.int64)
+        l3 = px.sum(axis=2)
+        m = int(l3.sum()) // l3.size
+        s = int(l3.max() - l3.min())
+        reasons.append((m < _IMGQ_DARK_MAX) * 16
+                       + (m > _IMGQ_BRIGHT_MIN) * 32
+                       + (s < _IMGQ_SPREAD_MIN) * 64)
+    return pa.table({
+        "image_id": b["image_id"],
+        "w": b["w"].cast(pa.int64()),
+        "h": b["h"].cast(pa.int64()),
+        "caption": b["caption"],
+        "digest": pa.array(digests, pa.int64()),
+        "reason": pa.array(np.asarray(reasons, np.int64))})
 
 
 def q_image_curate(sf_dir):
     """The multimodal curation composition end-to-end — what a
     LAION/DataComp-style pipeline runs between the crawl and the
     trainer, in ONE streaming pass over the payload bytes plus two
-    metadata-only exchanges: actor-pool decode computes the
+    metadata-only exchanges: decode tasks compute the
     exact-dedup digest and the exposure gates where the bytes live
     (bits 16 dark / 32 blown / 64 flat), a vectorized metadata gate
     adds min-side/aspect/caption-token bits (1/2/4), a digest-keyed
@@ -6616,7 +6486,7 @@ def q_image_curate(sf_dir):
     t = pa.table({
         "image_id": pa.array([r["image_id"] for r in rows],
                              pa.string()),
-        "bytes": pa.array([r["bytes"] for r in rows], pa.binary()),
+        "bytes": binary_array([r["bytes"] for r in rows]),
         "w": pa.array([r["w"] for r in rows], pa.int32()),
         "h": pa.array([r["h"] for r in rows], pa.int32()),
         "caption": pa.array([r["caption"] for r in rows], pa.string()),
@@ -6656,8 +6526,8 @@ def q_image_curate(sf_dir):
                               ("reason", pa.int64())])
     judged = group_apply(
         _rd().from_arrow(t)
-        .map_batches(_ImageCurateDecode, batch_format="pyarrow",
-                     batch_size=64, concurrency=2, max_restarts=0)
+        .map_batches(_image_curate_decode, batch_format="pyarrow",
+                     batch_size=64)
         .map_batches(meta_gate, batch_format="pyarrow"),
         "digest", dedup_group, dedup_schema)
 

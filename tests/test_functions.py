@@ -82,6 +82,22 @@ class TestImaging:
         assert psnr(img, out) >= 40.0
         assert np.max(np.abs(img.astype(int) - out.astype(int))) <= 2
 
+    def test_fjpg_dequantize_matches_widened_reference(self):
+        """Every level byte under every step decodes to
+        min(v*q + q//2, 255), computed wide: the in-place uint8 decode
+        must undo its wraparound exactly."""
+        import struct
+        import zlib
+        from pyspider_ray.functions.imaging import _FJPG_MAGIC
+        levels = np.arange(256, dtype=np.uint8).repeat(3).reshape(1, 256, 3)
+        for q in range(256):
+            data = (_FJPG_MAGIC + struct.pack(">IIB", 256, 1, q)
+                    + zlib.compress(levels.tobytes()))
+            want = np.minimum(levels.astype(np.int64) * q + q // 2, 255)
+            got = fjpg_decode(data)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, want), q
+
     def test_dispatch(self):
         img = np.zeros((8, 8, 3), dtype=np.uint8)
         assert decode_image(encode_image(img, "png")).shape == (8, 8, 3)
