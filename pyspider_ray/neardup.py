@@ -31,6 +31,12 @@ processes them.  Two reasons, both measured at sf0.1:
   dominant cold-run cost, and Ray Data's internal shuffle tasks can't
   be tuned from library code.
 
+It is the package's one grouping shuffle: every per-key step of the
+query layer runs on ``partition_apply`` / ``group_apply`` (int or
+string keys) or on the two-sided ``_apply`` form of ``hash_join``; no
+module calls ``groupby().map_groups``, whose range sort costs seconds
+of orchestration even on a few hundred rows.
+
 Partitioning contract: every (band, key) bucket lands WHOLLY in one
 reduce partition (the hash is over the bucket key, never the doc), so
 pair expansion sees complete buckets; P bounds per-reduce-task memory
@@ -155,12 +161,6 @@ def _dedup_pairs(lo: np.ndarray, hi: np.ndarray):
     return lo[keep], hi[keep]
 
 
-def _key_bucket(k: np.ndarray, n_buckets: int) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        h = (k.astype(np.uint64) * _GOLD) >> np.uint64(31)
-    return (h % np.uint64(n_buckets)).astype(np.int64)
-
-
 def _band_hash(band: np.ndarray, key: np.ndarray) -> np.ndarray:
     """Routing hash of a (band, key) bucket: the banding exchange and
     the persisted near-dup artifact's bucket layout both use it."""
@@ -174,7 +174,18 @@ def _band_hash(band: np.ndarray, key: np.ndarray) -> np.ndarray:
 # -- partition-id functions: ``part_of(table, P)`` → int64 ids in [0, P) ---
 
 def _key_part(col: str, t: pa.Table, P: int) -> np.ndarray:
-    return _key_bucket(t[col].to_numpy(), P)
+    """Partition of each row's ``col`` value: a golden-ratio multiply
+    for numeric keys; pandas' fixed-key SipHash for strings and other
+    values — the same in every worker process, unlike the salted
+    built-in ``hash()``, so one key never splits across partitions."""
+    k = t[col].to_numpy()
+    if k.dtype.kind in "biuf":
+        with np.errstate(over="ignore"):
+            h = (k.astype(np.uint64) * _GOLD) >> np.uint64(31)
+    else:
+        import pandas as pd
+        h = pd.util.hash_array(k)
+    return (h % np.uint64(P)).astype(np.int64)
 
 
 def _band_part(t: pa.Table, P: int) -> np.ndarray:
@@ -397,13 +408,15 @@ def partition_apply(ds, key_col: str, fn, schema: pa.Schema):
 
 
 def _apply_runs(key_col: str, fn, t: pa.Table) -> pa.Table:
-    """group_apply's partition fn: one stable argsort, then ``fn`` on
-    each contiguous same-key run — a whole group, since the key hash
-    pins every key to one partition."""
-    k = t[key_col].to_numpy().astype(np.int64)
-    order = np.argsort(k, kind="stable")
+    """group_apply's partition fn: one stable argsort of the key's
+    dense codes (in key order, so int and string keys sort alike), then
+    ``fn`` on each contiguous same-key run — a whole group, since the
+    key hash pins every key to one partition."""
+    import pandas as pd
+    codes = pd.factorize(t[key_col].to_numpy(), sort=True)[0]
+    order = np.argsort(codes, kind="stable")
     t = t.take(pa.array(order)).combine_chunks()
-    ks = k[order]
+    ks = codes[order]
     bounds = np.flatnonzero(ks[1:] != ks[:-1]) + 1
     starts = np.concatenate(([0], bounds))
     ends = np.concatenate((bounds, [len(ks)]))
@@ -412,8 +425,8 @@ def _apply_runs(key_col: str, fn, t: pa.Table) -> pa.Table:
 
 
 def group_apply(ds, key_col: str, fn, schema: pa.Schema):
-    """Sort-free distributed map_groups over an int64 key with a
-    DECLARED output schema: ``partition_apply`` whose partition fn
+    """Sort-free distributed map_groups over an int or string key with
+    a DECLARED output schema: ``partition_apply`` whose partition fn
     applies ``fn`` to every whole group.  Unlike
     Dataset.groupby().map_groups() this never range-sorts the dataset
     and never emits schema-less empty blocks (Ray's sort shuffle
@@ -463,31 +476,31 @@ def _join_tables(left_on: str, right_on: str, how: str, suffix: str,
             pa.int64(): pd.Int64Dtype(),
             pa.float64(): pd.Float64Dtype()}.get)
 
-    ldf = _pdf(lt)
     if how in ("semi", "anti"):
+        # left rows verbatim: filter the Arrow table, no pandas trip
         keys = (pc.drop_null(rt[right_on]).to_numpy(zero_copy_only=False)
                 if rt is not None else np.empty(0, np.int64))
-        hit = np.isin(ldf[left_on].to_numpy(np.int64), np.unique(keys))
-        out = ldf[~hit] if how == "anti" else ldf[hit]
+        hit = np.isin(lt[left_on].to_numpy(), np.unique(keys))
+        return lt.filter(pa.array(hit != (how == "anti")))
+    ldf = _pdf(lt)
+    if rt is None:
+        if how == "inner":
+            return None
+        out = ldf.copy()                        # left join, no matches
+        for name in schema.names:
+            if name not in out.columns:
+                out[name] = None
     else:
-        if rt is None:
-            if how == "inner":
-                return None
-            out = ldf.copy()                    # left join, no matches
-            for name in schema.names:
-                if name not in out.columns:
-                    out[name] = None
-        else:
-            rdf = _pdf(rt)
-            out = ldf.merge(rdf, how=how, left_on=left_on,
-                            right_on=right_on, suffixes=("", suffix))
-            if right_on != left_on:
-                # the merged right-key column kept its name unless it
-                # collided with a LEFT column and took the suffix —
-                # dropping the bare name there would delete left data
-                merged_key = (right_on + suffix
-                              if right_on in ldf.columns else right_on)
-                out = out.drop(columns=[merged_key])
+        rdf = _pdf(rt)
+        out = ldf.merge(rdf, how=how, left_on=left_on,
+                        right_on=right_on, suffixes=("", suffix))
+        if right_on != left_on:
+            # the merged right-key column kept its name unless it
+            # collided with a LEFT column and took the suffix —
+            # dropping the bare name there would delete left data
+            merged_key = (right_on + suffix
+                          if right_on in ldf.columns else right_on)
+            out = out.drop(columns=[merged_key])
     arrays = [pa.Array.from_pandas(out[name], type=typ)
               for name, typ in zip(schema.names, schema.types)]
     return pa.Table.from_arrays(arrays, schema=schema)

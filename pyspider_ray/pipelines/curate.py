@@ -5,7 +5,7 @@ table into a training-ready corpus, end to end and streaming:
     -> curate_corpus gates (normalize / holdout / quality / language /
        decontaminate / exact-dedup — training_queries.q_curate_corpus)
     -> MinHash-Jaccard near-dup collapse (cluster losers dropped via
-       the payload-carrying co-partitioned anti-join)
+       the payload-carrying hash-exchange anti-join)
     -> hash-partitioned parquet (doc_id-bucket dirs + manifest)
 
 Reference parity: pyspider's result_worker + webui result dump
@@ -44,6 +44,7 @@ def curated_dataset(sf_dir: str, collapse_near_dups: bool = True,
     for the partitioned write)."""
     from .. import neardup
     from .. import training_queries as tq
+    from ..queries import _membership_filter
 
     curated = tq.q_curate_corpus(sf_dir)
     if collapse_near_dups:
@@ -82,10 +83,10 @@ def curated_dataset(sf_dir: str, collapse_near_dups: bool = True,
                 win = b["winner"].to_numpy().astype(np.int64)
                 return pa.table({"doc_id": pa.array(ids[ids != win])})
 
-            curated = tq._drop_ids_copartitioned(
-                curated,
+            curated = _membership_filter(
+                curated, "doc_id",
                 labeled_w.map_batches(losers, batch_format="pyarrow"),
-                payload_schema=tq._CURATE_PAYLOAD)
+                "doc_id", negate=True)
 
     def with_part(b: pa.Table) -> pa.Table:
         from ..functions.synthweb import mix64

@@ -162,30 +162,25 @@ def q_topn_per_group(sf_dir):
     """O4 per-project budget shape — top-3 rows per group by priority.
 
     Combiner-style: each batch pre-prunes to its local top-3 per key
-    (so the shuffle moves <= 3 rows per key per batch), then a COARSE
-    groupby (64 hash buckets of the key, not one group per key) takes
-    the global top-3 with one vectorized pandas groupby per bucket —
-    per-group Python overhead at millions of keys is the thing this
-    avoids."""
-    import pandas as pd
+    (so the exchange moves <= 3 rows per key per batch), then the hash
+    exchange on the key takes the global top-3 with one vectorized
+    pandas groupby per partition — per-group Python overhead at
+    millions of keys is the thing this avoids."""
+    from .neardup import partition_apply
 
-    def local_top3(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.sort_values(["o_totalprice", "o_orderkey"],
-                          ascending=[False, True])
-        b = b.groupby("o_custkey", sort=False).head(3)
-        b["cb"] = (b["o_custkey"] % 64).astype("int64")
-        return b
+    def top3(t: pa.Table) -> pa.Table:
+        b = t.to_pandas().sort_values(["o_totalprice", "o_orderkey"],
+                                      ascending=[False, True])
+        return pa.Table.from_pandas(b.groupby("o_custkey", sort=False)
+                                    .head(3), preserve_index=False)
 
-    def bucket_top3(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["o_totalprice", "o_orderkey"],
-                          ascending=[False, True])
-        g = g.groupby("o_custkey", sort=False).head(3)
-        return g[["o_custkey", "o_orderkey"]]
-
-    return (_read(sf_dir, "orders", ["o_custkey", "o_orderkey",
-                                     "o_totalprice"])
-            .map_batches(local_top3, batch_format="pandas")
-            .groupby("cb").map_groups(bucket_top3, batch_format="pandas"))
+    schema = pa.schema([("o_custkey", pa.int64()),
+                        ("o_orderkey", pa.int64())])
+    return partition_apply(
+        _read(sf_dir, "orders", ["o_custkey", "o_orderkey",
+                                 "o_totalprice"])
+        .map_batches(top3, batch_format="pyarrow"),
+        "o_custkey", lambda t: top3(t).select(schema.names), schema)
 
 
 def q_active_tasks(sf_dir):
@@ -252,42 +247,24 @@ def q_hash_join_revenue(sf_dir):
 
 
 def _membership_filter(probe_ds, probe_col: str, keys_ds, key_col: str,
-                       negate: bool, n_buckets: int = 64):
-    """Partitioned semi/anti join: both sides co-partition by a coarse
-    deterministic hash bucket of the key, and membership is decided
-    per group with one vectorized ``np.isin`` — per-task state is
-    O(partition), never the whole key set (the earlier broadcast
-    key-set filter dies at 100 TB where the fact side's distinct keys
-    outgrow one heap).  The key side is pre-distincted per batch (a
-    combiner) before the shuffle, so duplicate fact rows never travel."""
-    from .neardup import _key_bucket
+                       negate: bool):
+    """Partitioned semi/anti join: ``probe_ds`` rows (every column
+    kept) whose ``probe_col`` value is (``negate``: is not) a
+    ``key_col`` value of ``keys_ds`` — ``neardup.hash_join``'s semi /
+    anti form, so per-task state is O(partition), never the whole key
+    set (the earlier broadcast key-set filter dies at 100 TB where the
+    fact side's distinct keys outgrow one heap).  The key side is
+    pre-distincted per batch (a combiner) before the exchange, so
+    duplicate fact rows never travel."""
+    from .neardup import hash_join
 
-    def tag_probe(b: pa.Table) -> pa.Table:
-        k = b[probe_col].to_numpy()
-        return pa.table({
-            "k": pa.array(k.astype(np.int64)),
-            "kind": pa.array(np.ones(len(b), np.int8)),
-            "cb": pa.array(_key_bucket(k, n_buckets))})
+    def distinct_keys(b: pa.Table) -> pa.Table:
+        return pa.table({key_col: np.unique(b[key_col].to_numpy())})
 
-    def tag_keys(b: pa.Table) -> pa.Table:
-        k = np.unique(b[key_col].to_numpy())
-        return pa.table({
-            "k": pa.array(k.astype(np.int64)),
-            "kind": pa.array(np.zeros(len(k), np.int8)),
-            "cb": pa.array(_key_bucket(k, n_buckets))})
-
-    def member(g: pa.Table) -> pa.Table:
-        kind = g["kind"].to_numpy()
-        keys = g["k"].to_numpy()
-        kset = np.unique(keys[kind == 0])
-        probe = keys[kind == 1]
-        hit = np.isin(probe, kset)
-        keep = probe[~hit] if negate else probe[hit]
-        return pa.table({probe_col: pa.array(keep.astype(np.int64))})
-
-    tagged = probe_ds.map_batches(tag_probe, batch_format="pyarrow").union(
-        keys_ds.map_batches(tag_keys, batch_format="pyarrow"))
-    return tagged.groupby("cb").map_groups(member, batch_format="pyarrow")
+    return hash_join(probe_ds,
+                     keys_ds.map_batches(distinct_keys,
+                                         batch_format="pyarrow"),
+                     probe_col, key_col, how="anti" if negate else "semi")
 
 
 def q_pricing_summary(sf_dir):
@@ -679,7 +656,7 @@ def q_shipping_priority(sf_dir):
 
 def q_anti_join(sf_dir):
     """J1 left-anti — 'new request' detection: orders with no lineitem,
-    via the coarse-bucket co-partitioned membership filter."""
+    via the two-sided hash-exchange membership filter."""
     return _membership_filter(
         _read(sf_dir, "orders", ["o_orderkey"]), "o_orderkey",
         _read(sf_dir, "lineitem", ["l_orderkey"]), "l_orderkey",
@@ -772,9 +749,9 @@ def q_doc_fingerprint(sf_dir):
 
 # ---------------------------------------------------------------------------
 # custom operators Ray Data lacks natively (BASELINE brief: as-of join,
-# range join, windowed aggregates) — expressed as coarse-bucket
-# co-partition + vectorized per-group kernels (the same machinery as
-# pyspider_ray.neardup), never a per-key map_groups
+# range join, windowed aggregates) — expressed as one hash exchange on
+# the key (pyspider_ray.neardup) + vectorized per-partition kernels,
+# never a sort-based groupby
 # ---------------------------------------------------------------------------
 
 _TS_SHIFT = np.int64(1) << np.int64(52)   # user_id*2^52 + epoch_us packing
@@ -808,28 +785,26 @@ def _asof_merge(pu, pt, pid, cu, ct, cid):
 
 def q_asof_join(sf_dir):
     """As-of join: for each 'click' event, the user's most recent
-    'purchase' at-or-before its timestamp.  Both sides hash-partition
-    by user into 64 coarse buckets; each group resolves the as-of
-    lookup with ONE np.searchsorted over (user, ts)-packed keys —
-    vectorized, no per-key Python."""
+    'purchase' at-or-before its timestamp.  Both sides meet in one hash
+    exchange on the user; each partition resolves the as-of lookup
+    with ONE np.searchsorted over (user, ts)-packed keys — vectorized,
+    no per-key Python."""
+    from .neardup import partition_apply
+
     def prep(b: pa.Table) -> pa.Table:
         t = b.filter(pc.is_in(b["event_type"],
                               value_set=pa.array(["click", "purchase"])))
-        user = t["user_id"].to_numpy()
-        ts_us = t["ts"].cast(pa.int64()).to_numpy()
         return pa.table({
             "event_id": t["event_id"],
-            "user_id": pa.array(user),
-            "ts_us": pa.array(ts_us),
-            "is_click": pc.equal(t["event_type"], "click"),
-            "cb": pa.array((user % 64).astype(np.int64))})
+            "user_id": t["user_id"],
+            "ts_us": t["ts"].cast(pa.int64()),
+            "is_click": pc.equal(t["event_type"], "click")})
 
     def asof(g: pa.Table) -> pa.Table:
         click = g.filter(g["is_click"].combine_chunks())
         purch = g.filter(pc.invert(g["is_click"].combine_chunks()))
         if not len(click) or not len(purch):
-            return pa.table({"event_id": pa.array([], pa.int64()),
-                             "purchase_id": pa.array([], pa.int64())})
+            return None
         pu = purch["user_id"].to_numpy().astype(np.int64)
         pt = purch["ts_us"].to_numpy()
         pid = purch["event_id"].to_numpy()
@@ -865,10 +840,13 @@ def q_asof_join(sf_dir):
             "event_id": pa.array(cid[ok].astype(np.int64)),
             "purchase_id": pa.array(pid_s[idx[ok]].astype(np.int64))})
 
-    return (_read(sf_dir, "events", ["event_id", "user_id", "ts",
-                                     "event_type"])
-            .map_batches(prep, batch_format="pyarrow")
-            .groupby("cb").map_groups(asof, batch_format="pyarrow"))
+    schema = pa.schema([("event_id", pa.int64()),
+                        ("purchase_id", pa.int64())])
+    return partition_apply(
+        _read(sf_dir, "events", ["event_id", "user_id", "ts",
+                                 "event_type"])
+        .map_batches(prep, batch_format="pyarrow"),
+        "user_id", asof, schema)
 
 
 @ray.remote
@@ -927,14 +905,13 @@ def q_sliding_window(sf_dir):
 
 def q_session_windows(sf_dir):
     """Session windows: per user, a >30-minute gap starts a new
-    session (gaps-and-islands).  Coarse-bucket co-partition by user,
-    one vectorized diff/cumsum per group."""
+    session (gaps-and-islands).  One hash exchange on the user, one
+    vectorized diff/cumsum per partition."""
+    from .neardup import partition_apply
+
     def prep(b: pa.Table) -> pa.Table:
-        user = b["user_id"].to_numpy()
-        return pa.table({
-            "user_id": b["user_id"],
-            "ts_us": b["ts"].cast(pa.int64()),
-            "cb": pa.array((user % 64).astype(np.int64))})
+        return pa.table({"user_id": b["user_id"],
+                         "ts_us": b["ts"].cast(pa.int64())})
 
     def sessions(g: pa.Table) -> pa.Table:
         import pandas as pd
@@ -962,9 +939,15 @@ def q_session_windows(sf_dir):
         return pa.Table.from_pandas(out, preserve_index=False) \
             .replace_schema_metadata(None)
 
-    return (_read(sf_dir, "events", ["user_id", "ts"])
-            .map_batches(prep, batch_format="pyarrow")
-            .groupby("cb").map_groups(sessions, batch_format="pyarrow"))
+    schema = pa.schema([("user_id", pa.int64()),
+                        ("session_id", pa.int64()),
+                        ("n_events", pa.int64()),
+                        ("start_us", pa.int64()),
+                        ("end_us", pa.int64())])
+    return partition_apply(
+        _read(sf_dir, "events", ["user_id", "ts"])
+        .map_batches(prep, batch_format="pyarrow"),
+        "user_id", sessions, schema)
 
 
 def q_hash_sample(sf_dir):

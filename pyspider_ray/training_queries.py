@@ -9,8 +9,10 @@ SQL-expressible ops carry DuckDB oracles (integer outputs only — no
 float hash hazards); approximate/iterative ops (IVF, k-means,
 multimodal) are rows-only checks.  The near-dup family runs on the
 distributed machinery in ``pyspider_ray.neardup``: per-batch
-signatures → coarse-bucket hash-shuffle pair expansion → bucketed
-distinct → co-partitioned signature attach → vectorized verification.
+signatures → hash-exchange pair expansion → partitioned distinct →
+co-partitioned signature attach → vectorized verification.  Every
+per-key step of the module (dedup, per-source stats, shuffled
+fallbacks) rides the same exchange; nothing here sorts to group.
 No stage materializes or broadcasts the corpus in one process; small
 sides (centroids, query matrices, elected winner sets) ride one
 object-store ref into plain map tasks (``_io.broadcast_get``) or the
@@ -19,6 +21,7 @@ task args by design.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import re
@@ -232,24 +235,27 @@ def q_text_normalize(sf_dir):
 # dedup
 # ---------------------------------------------------------------------------
 
-def _first_wins_by_digest(ds, text_col: str, n_buckets: int = 64):
+def _md5_halves(texts) -> tuple[np.ndarray, np.ndarray]:
+    """Signed int64 (high, low) halves of each string's md5-128 digest
+    (big-endian) — the exact-content identity of the dedup queries;
+    md5 collisions are treated as impossible."""
+    d = np.frombuffer(b"".join(hashlib.md5(t.encode()).digest()
+                               for t in texts), dtype=">i8")
+    return d[0::2].astype(np.int64), d[1::2].astype(np.int64)
+
+
+def _first_wins_by_digest(ds, text_col: str):
     """Exact-dedup first-wins keyed on the md5-128 digest of
-    ``text_col`` instead of the text itself: the all-to-all exchange
-    then sorts 64 coarse int64 buckets, never full document text (a
-    text-keyed groupby's sort key IS the document at 100 TB).  Within
-    a bucket one lexsort keeps the min-doc_id row per 128-bit digest;
-    md5 collisions are treated as impossible (same convention as
-    q_dedup_counts / substring_dedup)."""
+    ``text_col`` instead of the text itself: the hash exchange routes
+    on the digest's int64 high half (text rides as payload, never as a
+    key), and within a partition one lexsort keeps the min-doc_id row
+    per 128-bit digest."""
+    from .neardup import _arrow_schema, partition_apply
+
     def digest(b: pa.Table) -> pa.Table:
-        h1 = np.empty(len(b), np.int64)
-        h2 = np.empty(len(b), np.int64)
-        for i, t in enumerate(b[text_col].to_pylist()):
-            d = hashlib.md5(t.encode()).digest()
-            h1[i] = int.from_bytes(d[:8], "big", signed=True)
-            h2[i] = int.from_bytes(d[8:], "big", signed=True)
+        h1, h2 = _md5_halves(b[text_col].to_pylist())
         return (b.append_column("_h1", pa.array(h1))
-                .append_column("_h2", pa.array(h2))
-                .append_column("_cb", pa.array(h1 % n_buckets)))
+                .append_column("_h2", pa.array(h2)))
 
     def first_wins(g: pa.Table) -> pa.Table:
         h1 = g["_h1"].to_numpy()
@@ -259,51 +265,44 @@ def _first_wins_by_digest(ds, text_col: str, n_buckets: int = 64):
         k1, k2 = h1[order], h2[order]
         first = np.ones(len(order), dtype=bool)
         first[1:] = (k1[1:] != k1[:-1]) | (k2[1:] != k2[:-1])
-        return (g.take(pa.array(order[first]))
-                .drop_columns(["_h1", "_h2", "_cb"]))
+        return g.take(pa.array(order[first])).drop_columns(["_h1", "_h2"])
 
-    return (ds.map_batches(digest, batch_format="pyarrow")
-            .groupby("_cb").map_groups(first_wins, batch_format="pyarrow"))
+    ds = ds.map_batches(digest, batch_format="pyarrow").materialize()
+    schema = pa.schema(list(_arrow_schema(ds))[:-2])    # minus _h1, _h2
+    return partition_apply(ds, "_h1", first_wins, schema)
 
 
 def q_dedup_exact(sf_dir):
-    """Exact dedup, first-wins: hash-partition by a coarse bucket of
-    the md5-128 content digest (text rides as payload, never as the
-    shuffle sort key), keep min doc_id per distinct content."""
+    """Exact dedup, first-wins: hash-partition by the md5-128 content
+    digest (text rides as payload, never as the exchange key), keep
+    min doc_id per distinct content."""
     return _first_wins_by_digest(
         _read(sf_dir, "documents", ["doc_id", "text"]), "text")
 
 
 def q_dedup_counts(sf_dir):
     """Corpus dedup accounting: total rows + exact distinct-content
-    count.  Distinct runs distributed — 128-bit content digests,
-    coarse-bucket shuffle, one np.unique per group, 64 partial counts
-    summed on the driver (never `ds.unique()`, which materializes the
-    distinct VALUES driver-side)."""
+    count.  Distinct runs distributed — 128-bit content digests, one
+    hash exchange on the digest, one np.unique per partition, the
+    partial counts summed on the driver (never `ds.unique()`, which
+    materializes the distinct VALUES driver-side)."""
+    from .neardup import partition_apply
+
     ds = _read(sf_dir, "documents", ["text"])
     total = ds.count()
 
     def digest(b: pa.Table) -> pa.Table:
-        h1, h2, cb = [], [], []
-        for t in b["text"].to_pylist():
-            d = hashlib.md5(t.encode()).digest()
-            a = int.from_bytes(d[:8], "big", signed=True)
-            h1.append(a)
-            h2.append(int.from_bytes(d[8:], "big", signed=True))
-            cb.append(a % 64)
-        return pa.table({"h1": pa.array(h1, pa.int64()),
-                         "h2": pa.array(h2, pa.int64()),
-                         "cb": pa.array(cb, pa.int64())})
+        h1, h2 = _md5_halves(b["text"].to_pylist())
+        return pa.table({"h1": pa.array(h1), "h2": pa.array(h2)})
 
     def count_unique(g: pa.Table) -> pa.Table:
         arr = np.stack([g["h1"].to_numpy(), g["h2"].to_numpy()], axis=1)
         return pa.table({"n": pa.array(
             [len(np.unique(arr, axis=0))], pa.int64())})
 
-    parts = (ds.map_batches(digest, batch_format="pyarrow")
-             .groupby("cb").map_groups(count_unique,
-                                       batch_format="pyarrow")
-             .take_all())
+    parts = partition_apply(ds.map_batches(digest, batch_format="pyarrow"),
+                            "h1", count_unique,
+                            pa.schema([("n", pa.int64())])).take_all()
     distinct = sum(p["n"] for p in parts)
     return pa.table({"total": pa.array([total], pa.int64()),
                      "distinct_texts": pa.array([distinct], pa.int64())})
@@ -619,7 +618,7 @@ def q_jaccard_near_dup(sf_dir):
        per-pair miss probability ~1.3e-7 at tau, so the verified output
        equals the exact pair set) through pyspider_ray.neardup —
        tokenize-once word lists feed banding and verification; pair
-       expansion is a coarse-bucket hash shuffle; dedup a groupby on
+       expansion is a hash exchange on (band, key); dedup one on
        the packed key; verification joins candidates back to the
        word-list table on doc_a then doc_b (co-partitioned hash joins)
        and popcounts intersections vectorized.  No corpus broadcast,
@@ -845,28 +844,18 @@ def _cosine_partial_topk(b: pa.Table, query) -> pa.Table:
                      "sim": pa.array(sims, pa.float64())})
 
 
-def _final_topk_merge(partials, small_limit: int = 200_000):
+def _final_topk_merge(partials):
     """Final top-k combine over per-batch partial rows
-    (query_id, neighbor_id, sim).  The partial table is bounded by
-    O(n_blocks x queries x k); when it is small — every sf the driver
-    runs, and any corpus up to ~10^5 blocks — ONE driver-side
-    vectorized sort+groupby replaces a distributed sort-based groupby
-    whose fixed shuffle machinery (~5 s) dwarfs the data.  Past the
-    limit the distributed path runs (the 10^9-row scale shape)."""
-    import pandas as pd
+    (query_id, neighbor_id, sim): one vectorized pandas sort+groupby
+    per partition of a hash exchange on query_id — a single task while
+    the partial table is small (it is bounded by
+    O(n_blocks x queries x k)), split by query past that."""
+    from .neardup import partition_apply
 
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["sim", "neighbor_id"],
-                          ascending=[False, True]).head(_TOP_K)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["query_id", "rank", "neighbor_id"]]
-
-    m = partials.materialize()
-    if m.count() <= small_limit:
-        df = m.to_pandas()
-        df = df.sort_values(["sim", "neighbor_id"],
-                            ascending=[False, True], kind="stable")
+    def topk(t: pa.Table) -> pa.Table:
+        df = t.to_pandas().sort_values(["sim", "neighbor_id"],
+                                       ascending=[False, True],
+                                       kind="stable")
         out = df.groupby("query_id", sort=True).head(_TOP_K).copy()
         out["rank"] = out.groupby("query_id").cumcount() + 1
         out = out.sort_values(["query_id", "rank"])
@@ -875,8 +864,10 @@ def _final_topk_merge(partials, small_limit: int = 200_000):
             "rank": pa.array(out["rank"].to_numpy(np.int64)),
             "neighbor_id": pa.array(
                 out["neighbor_id"].to_numpy(np.int64))})
-    return m.groupby("query_id").map_groups(final_topk,
-                                            batch_format="pandas")
+
+    schema = pa.schema([("query_id", pa.int64()), ("rank", pa.int64()),
+                        ("neighbor_id", pa.int64())])
+    return partition_apply(partials, "query_id", topk, schema)
 
 
 def q_embedding_knn(sf_dir):
@@ -942,7 +933,6 @@ def _near_dup_shard(b: pa.Table, sf_dir: str, shard: int,
 def q_embedding_near_dup(sf_dir):
     """Exact cosine near-dup (tau=0.3) as a union of B sharded-index
     branches — see _near_dup_shard for the partitioning contract."""
-    import functools
     assert _NEARDUP_SHARDS & (_NEARDUP_SHARDS - 1) == 0
     branches = []
     for s in range(_NEARDUP_SHARDS):
@@ -1040,7 +1030,6 @@ def q_ann_ivf(sf_dir):
         for c in np.argsort(-(C @ v))[:3]:
             probes.setdefault(int(c), []).append(qi)
 
-    import functools
     partials = (ds
                 .map_batches(functools.partial(_ivf_assign,
                                                centroids=C.tolist()),
@@ -1122,7 +1111,6 @@ def q_ann_lsh(sf_dir):
     the corpus, tuned by _LSH_BITS.  For many queries (>~10^3) the
     bucketed-shuffle form (group rows by signature, join query buckets
     — the neardup.py machinery) beats this broadcast-probe form."""
-    import functools
     q_ids, Q = _load_query_matrix(sf_dir, _N_QUERIES)
     planes = _lsh_planes(Q.shape[1])
     partials = (_read(sf_dir, "embeddings", ["vec_id", "embedding"])
@@ -1200,7 +1188,6 @@ def q_ann_lsh_bucketed(sf_dir):
     broadcast-probe form, so both produce the SAME top-k — pinned by
     TestAnnLshBucketed.  Driver-held state: the tiny query-id list.
     Rows-only entry: approximate by construction, like ann_lsh."""
-    import functools
     from . import neardup as nd
     q_ids, Q = _load_query_matrix(sf_dir, _N_QUERIES)
     planes = _lsh_planes(Q.shape[1])
@@ -1669,7 +1656,6 @@ def _kmeans_centroids(sf_dir, ds, k: int, iters: int) -> np.ndarray:
     and updates.  Per iteration the corpus streams once; nothing but
     (k x dim) matrices ever sits on the driver.  Deterministic init:
     first k vectors by vec_id (pruned pushdown scan, no shuffle)."""
-    import functools
     _, C = _smallest_vec_rows(sf_dir, k)
     C = C.copy()
     C /= np.linalg.norm(C, axis=1, keepdims=True)
@@ -1708,7 +1694,6 @@ def q_kmeans_embeddings(sf_dir):
     """Distributed k-means over the embedding column (rows-only: an
     iterative algorithm with no SQL equivalent) — training in
     `_kmeans_centroids`, then one streaming assignment pass."""
-    import functools
     K, ITERS = 8, 5
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     C = _kmeans_centroids(sf_dir, ds, K, ITERS)
@@ -1776,7 +1761,6 @@ def q_semdedup(sf_dir):
     farthest-from-centroid-first pass against an (m x dim) slab.
     Skewed clusters bound m — at real scale k scales with N (the
     paper uses k ~ sqrt(N)) so groups stay near-constant."""
-    import functools
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     C = _kmeans_centroids(sf_dir, ds, _SEMDEDUP_K, 5)
 
@@ -1917,7 +1901,7 @@ def q_near_dup_collapse(sf_dir):
 
     Composition, all existing machinery: the component table marks
     losers (member != label) with one vectorized compare, and the
-    corpus drops them through the coarse-bucket co-partitioned
+    corpus drops them through the two-sided hash-exchange
     membership filter — per-task state stays O(partition); the loser
     set is never broadcast or driver-materialized."""
     from .queries import _membership_filter
@@ -1943,12 +1927,10 @@ def q_dedup_keep_best(sf_dir):
     Combiner pattern: each batch reduces to its local best-per-group
     first (one lexsort, no Python per-group loop), so the groupby that
     follows moves one row per (batch, group) — on a dup-heavy corpus
-    orders of magnitude less than the input — and the final map_groups
-    sees tiny groups."""
-    def best_local(b: pa.Table) -> pa.Table:
-        fps = np.array([hashlib.md5(" ".join(sorted(set(t.split())))
-                                    .encode()).hexdigest()
-                        for t in b["text"].to_pylist()])
+    orders of magnitude less than the input — and the same lexsort
+    runs once more per partition of the hash exchange on ``set_fp``,
+    where every group is whole."""
+    def best(fps: np.ndarray, b: pa.Table) -> pa.Table:
         ids = b["doc_id"].to_numpy().astype(np.int64)
         nch = b["n_chars"].to_numpy().astype(np.int64)
         order = np.lexsort((ids, -nch, fps))
@@ -1960,16 +1942,21 @@ def q_dedup_keep_best(sf_dir):
                          "doc_id": pa.array(ids[keep]),
                          "n_chars": pa.array(nch[keep])})
 
-    def best_global(g: pa.Table) -> pa.Table:
-        ids = g["doc_id"].to_numpy().astype(np.int64)
-        nch = g["n_chars"].to_numpy().astype(np.int64)
-        i = int(np.lexsort((ids, -nch))[0])
-        return g.slice(i, 1)
+    def best_local(b: pa.Table) -> pa.Table:
+        return best(np.array([hashlib.md5(" ".join(sorted(set(t.split())))
+                                          .encode()).hexdigest()
+                              for t in b["text"].to_pylist()]), b)
 
-    return (_read(sf_dir, "documents", ["doc_id", "text", "n_chars"])
-            .map_batches(best_local, batch_format="pyarrow")
-            .groupby("set_fp")
-            .map_groups(best_global, batch_format="pyarrow"))
+    def best_global(t: pa.Table) -> pa.Table:
+        return best(t["set_fp"].to_numpy(zero_copy_only=False), t)
+
+    from .neardup import partition_apply
+    return partition_apply(
+        _read(sf_dir, "documents", ["doc_id", "text", "n_chars"])
+        .map_batches(best_local, batch_format="pyarrow"),
+        "set_fp", best_global,
+        pa.schema([("set_fp", pa.string()), ("doc_id", pa.int64()),
+                   ("n_chars", pa.int64())]))
 
 
 def q_vocab_topk(sf_dir):
@@ -2047,8 +2034,6 @@ def _bpe_merges_distributed(freq_ds, k: int) -> list[tuple]:
     char); the winning merge broadcasts into a rewrite pass and the
     table re-materializes for the next round.  The corpus itself is
     read exactly once, before round 0."""
-    import functools
-
     from ray.data.aggregate import Sum
 
     def pair_counts(b: pa.Table) -> pa.Table:
@@ -2263,6 +2248,12 @@ def q_bpe_train(sf_dir):
         "weight": pa.array([m[3] for m in merges], pa.int64())})
 
 
+def _sum_by(key: str, col: str, out: str, t: pa.Table) -> pa.Table:
+    """Partition fn: per distinct ``key``, the sum of ``col`` as ``out``."""
+    g = t.group_by(key).aggregate([(col, "sum")])
+    return pa.table({key: g[key], out: g[f"{col}_sum"]})
+
+
 def q_doc_top_terms(sf_dir):
     """Per-document top-3 terms by term frequency (ties to the
     alphabetically-first word) with the GLOBAL document frequency
@@ -2273,13 +2264,12 @@ def q_doc_top_terms(sf_dir):
     doc lives wholly in its batch; selection orders by tf alone), so
     the expensive side never shuffles.  Document frequency is a
     combiner-pattern aggregate over per-batch distinct (word, doc)
-    pairs, vocabulary-sized output (Zipf: ≪ corpus).  The df attach is
-    a partitioned hash join on the md5-64 word key through
+    pairs, vocabulary-sized output (Zipf: ≪ corpus), summed per word
+    by the hash exchange with a declared schema.  The df attach is a
+    partitioned hash join on the md5-64 word key through
     ``neardup.attach_column`` — the same word keying the jaccard
     machinery uses; no broadcast, no driver materialization."""
-    from ray.data.aggregate import Sum
-
-    from .neardup import attach_column
+    from .neardup import attach_column, partition_apply
 
     def top3(b: pa.Table) -> pa.Table:
         ids, words, tfs, whs = [], [], [], []
@@ -2308,8 +2298,10 @@ def q_doc_top_terms(sf_dir):
                          "df_p": pa.array(cnt, pa.int64())})
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"]).materialize()
-    dfs = (docs.map_batches(df_partial, batch_format="pyarrow")
-           .groupby("doc_id").aggregate(Sum("df_p", alias_name="df")))
+    dfs = partition_apply(
+        docs.map_batches(df_partial, batch_format="pyarrow"), "doc_id",
+        functools.partial(_sum_by, "doc_id", "df_p", "df"),
+        pa.schema([("doc_id", pa.int64()), ("df", pa.int64())]))
     top = docs.map_batches(top3, batch_format="pyarrow")
     out = attach_column(top, dfs, "df", "doc_a", "df")
     return out.map_batches(
@@ -2346,10 +2338,12 @@ def q_sample_per_source(sf_dir):
         keep = np.lexsort((ids, keys))[:10]
         return g.take(pa.array(np.sort(keep))).select(["source", "doc_id"])
 
-    return (_read(sf_dir, "documents", ["doc_id", "source"])
-            .map_batches(local_top, batch_format="pyarrow")
-            .groupby("source")
-            .map_groups(final_top, batch_format="pyarrow"))
+    from .neardup import group_apply
+    return group_apply(
+        _read(sf_dir, "documents", ["doc_id", "source"])
+        .map_batches(local_top, batch_format="pyarrow"),
+        "source", final_top,
+        pa.schema([("source", pa.string()), ("doc_id", pa.int64())]))
 
 
 def q_source_token_stats(sf_dir):
@@ -2384,10 +2378,13 @@ def q_source_token_stats(sf_dir):
             "n_langs": pa.array([len(set(g["lang"].to_pylist()))],
                                 pa.int64())})
 
-    return (_read(sf_dir, "documents", ["text", "source", "lang"])
-            .map_batches(partial, batch_format="pyarrow")
-            .groupby("source")
-            .map_groups(final, batch_format="pyarrow"))
+    from .neardup import group_apply
+    return group_apply(
+        _read(sf_dir, "documents", ["text", "source", "lang"])
+        .map_batches(partial, batch_format="pyarrow"),
+        "source", final,
+        pa.schema([("source", pa.string()), ("n_docs", pa.int64()),
+                   ("n_tokens", pa.int64()), ("n_langs", pa.int64())]))
 
 
 _DECON_N = 13      # GPT-3-style decontamination n-gram width
@@ -2453,10 +2450,10 @@ def _collect_bench_grams(docs):
 def _decontaminate_shuffled(docs):
     """Distributed decontamination for when the eval gram set outgrows
     the broadcast envelope: corpus and eval gram hashes co-partition
-    through ONE hash shuffle (eval rows tagged doc_id=-1), each gram
-    group emits its corpus members iff an eval row is present, and a
-    per-doc count folds the hits — shuffled volume O(grams), driver
-    holds nothing."""
+    through ONE hash exchange (eval rows tagged doc_id=-1), each
+    partition emits, with one vectorized np.isin, the corpus rows of
+    every gram an eval row also has, and a per-doc count folds the
+    hits — shuffled volume O(grams), driver holds nothing."""
     from ray.data.aggregate import Sum
 
     def tagged(b: pa.Table) -> pa.Table:
@@ -2475,15 +2472,19 @@ def _decontaminate_shuffled(docs):
         return pa.table({"h": pa.array(np.concatenate(hs)),
                          "doc_id": pa.array(np.concatenate(ids))})
 
-    def hits(g: pa.Table) -> pa.Table:
-        ids = g["doc_id"].to_numpy()
-        out = ids[ids != -1] if (ids == -1).any() \
-            else np.empty(0, dtype=np.int64)
+    def hits(t: pa.Table) -> pa.Table:
+        # every non-holdout occurrence of a gram the holdout also has
+        h, ids = t["h"].to_numpy(), t["doc_id"].to_numpy()
+        out = ids[np.isin(h, h[ids == -1]) & (ids != -1)]
         return pa.table({"doc_id": pa.array(out),
                          "one": pa.array(np.ones(len(out), np.int64))})
 
-    return (docs.map_batches(tagged, batch_format="pyarrow")
-            .groupby("h").map_groups(hits, batch_format="pyarrow")
+    from .neardup import partition_apply
+    return (partition_apply(docs.map_batches(tagged,
+                                             batch_format="pyarrow"),
+                            "h", hits,
+                            pa.schema([("doc_id", pa.int64()),
+                                       ("one", pa.int64())]))
             .groupby("doc_id")
             .aggregate(Sum("one", alias_name="n_hits")))
 
@@ -2589,66 +2590,6 @@ def _drop_contaminated(b: pa.Table, bench) -> pa.Table:
     return b.filter(pa.array(keep))
 
 
-# survivor-row schema of the curation gate (also the sentinel schema
-# for its anti-join side): everything _curate_gate emits except doc_id
-_CURATE_PAYLOAD = pa.schema([
-    pa.field("source", pa.string()),
-    pa.field("norm_text", pa.string()),
-    pa.field("n_tokens", pa.int64()),
-])
-
-
-def _drop_ids_copartitioned(rows, drop_ids, n_buckets: int = 64,
-                            payload_schema: pa.Schema | None = None):
-    """Payload-carrying anti-join by id: both sides co-partition on a
-    coarse hash bucket of doc_id (drop side pre-distincted per batch,
-    null-sentinel payload columns so the union schema matches), and
-    each group drops its members with one vectorized np.isin —
-    per-task state O(partition), nothing broadcast.  The
-    payload-preserving sibling of queries._membership_filter.
-
-    ``payload_schema`` is ``rows``'s schema minus doc_id, in row-table
-    column order with doc_id first; pass it when known statically
-    (else it is fetched from the dataset, which may execute a block).
-    Sentinel payload values are typed nulls, so the helper works for
-    any row schema; they never escape (the member filter keeps only
-    kind-0 rows)."""
-    from .neardup import _key_bucket
-
-    if payload_schema is None:
-        sch = rows.schema()
-        fields = list(zip(sch.names, sch.types))
-    else:
-        fields = [("doc_id", pa.int64())] + \
-            [(f.name, f.type) for f in payload_schema]
-
-    def tag_rows(b: pa.Table) -> pa.Table:
-        ids = b["doc_id"].to_numpy().astype(np.int64)
-        return (b.append_column("kind",
-                                pa.array(np.zeros(len(b), np.int8)))
-                .append_column("cb", pa.array(_key_bucket(ids, n_buckets))))
-
-    def tag_drop(b: pa.Table) -> pa.Table:
-        k = np.unique(b["doc_id"].to_numpy().astype(np.int64))
-        n = len(k)
-        cols = {name: (pa.array(k) if name == "doc_id"
-                       else pa.nulls(n, typ))
-                for name, typ in fields}    # rows' exact column order
-        cols["kind"] = pa.array(np.ones(n, np.int8))
-        cols["cb"] = pa.array(_key_bucket(k, n_buckets))
-        return pa.table(cols)
-
-    def member(g: pa.Table) -> pa.Table:
-        kind = g["kind"].to_numpy()
-        ids = g["doc_id"].to_numpy()
-        keep = (kind == 0) & ~np.isin(ids, ids[kind == 1])
-        return g.filter(pa.array(keep)).drop_columns(["kind", "cb"])
-
-    return (rows.map_batches(tag_rows, batch_format="pyarrow")
-            .union(drop_ids.map_batches(tag_drop, batch_format="pyarrow"))
-            .groupby("cb").map_groups(member, batch_format="pyarrow"))
-
-
 def q_curate_corpus(sf_dir):
     """Flagship curation composition — the stages a real training-data
     job chains over 100 TB, as ONE streaming Dataset pipeline:
@@ -2673,6 +2614,8 @@ def q_curate_corpus(sf_dir):
     all-to-all is the final dedup groupby, which moves already
     heavily-filtered survivors.  Fully SQL-expressible, so the whole
     composition is oracle-hash-checked end to end."""
+    from .queries import _membership_filter
+
     docs = _read(sf_dir, "documents", ["doc_id", "text", "source"])
     survivors = docs.map_batches(_curate_gate, batch_format="pyarrow")
 
@@ -2697,8 +2640,8 @@ def q_curate_corpus(sf_dir):
         gram_input = holdout.union(
             survivors.map_batches(surv_text, batch_format="pyarrow"))
         contaminated = _decontaminate_shuffled(gram_input)
-        clean = _drop_ids_copartitioned(survivors, contaminated,
-                                        payload_schema=_CURATE_PAYLOAD)
+        clean = _membership_filter(survivors, "doc_id", contaminated,
+                                   "doc_id", negate=True)
 
     return _first_wins_by_digest(clean, "norm_text")
 
@@ -2846,12 +2789,15 @@ def q_source_len_quantiles(sf_dir):
             out[f"p{num}"] = pa.array([int(v[idx])], pa.int64())
         return pa.table(out)
 
-    return (_read(sf_dir, "documents", ["source", "n_chars"])
-            .map_batches(partial, batch_format="pyarrow")
-            .groupby(["source", "n_chars"])
-            .aggregate(Sum("c", alias_name="c"))
-            .groupby("source")
-            .map_groups(quantiles, batch_format="pyarrow"))
+    from .neardup import group_apply
+    schema = pa.schema([("source", pa.string())] +
+                       [(f"p{num}", pa.int64()) for num, _ in _QUANTILES])
+    return group_apply(
+        _read(sf_dir, "documents", ["source", "n_chars"])
+        .map_batches(partial, batch_format="pyarrow")
+        .groupby(["source", "n_chars"])
+        .aggregate(Sum("c", alias_name="c")),
+        "source", quantiles, schema)
 
 
 _PACK_BUDGET = 512   # tokens per packed training sequence
@@ -2909,9 +2855,12 @@ def q_seq_packing(sf_dir):
                          "n_docs": pa.array(n_docs.astype(np.int64)),
                          "n_tokens": pa.array(sums.astype(np.int64))})
 
-    return (_read(sf_dir, "documents", ["doc_id", "source", "text"])
-            .groupby("source")
-            .map_groups(pack, batch_format="pyarrow"))
+    from .neardup import group_apply
+    return group_apply(
+        _read(sf_dir, "documents", ["doc_id", "source", "text"]),
+        "source", pack,
+        pa.schema([("source", pa.string()), ("bin_id", pa.int64()),
+                   ("n_docs", pa.int64()), ("n_tokens", pa.int64())]))
 
 
 _WINDOW_N = 20     # exact-substring window width (Lee et al. use 50
@@ -2927,9 +2876,11 @@ def q_dup_window_coverage(sf_dir):
     counting) — the metric behind substring-level dedup decisions.
 
     Scale shape: one flat_map emits (window-hash, doc_id) pairs
-    (distinct per doc — a combiner), ONE hash shuffle groups identical
-    windows, and each group re-emits its member doc_ids with a dup
-    flag; a bucket-count groupby folds back to per-doc integers.  The
+    (distinct per doc — a combiner), ONE hash exchange on the window
+    hash brings identical windows together, and each partition flags
+    every row whose hash occurs more than once there (one vectorized
+    np.unique, no per-window call); a groupby folds back to per-doc
+    integers.  The
     shuffled volume is O(windows), never the text; no driver
     materialization; hot windows are bounded by the group size cap the
     exchange already enforces elsewhere."""
@@ -2948,17 +2899,23 @@ def q_dup_window_coverage(sf_dir):
         return pa.table({"h": pa.array(np.concatenate(hs)),
                          "doc_id": pa.array(np.concatenate(ids))})
 
-    def flag(g: pa.Table) -> pa.Table:
-        ids = g["doc_id"].to_numpy()
-        dup = np.full(len(ids), len(ids) > 1, dtype=np.int64)
-        return pa.table({"doc_id": pa.array(ids),
-                         "dup": pa.array(dup),
-                         "one": pa.array(np.ones(len(ids), np.int64))})
+    def flag(t: pa.Table) -> pa.Table:
+        # a window is duplicated when its hash occurs more than once
+        _, inv, cnt = np.unique(t["h"].to_numpy(), return_inverse=True,
+                                return_counts=True)
+        return pa.table({"doc_id": t["doc_id"],
+                         "dup": pa.array((cnt[inv] > 1).astype(np.int64)),
+                         "one": pa.array(np.ones(len(t), np.int64))})
 
     from ray.data.aggregate import Sum
-    return (_read(sf_dir, "documents", ["doc_id", "text"])
-            .map_batches(grams, batch_format="pyarrow")
-            .groupby("h").map_groups(flag, batch_format="pyarrow")
+
+    from .neardup import partition_apply
+    return (partition_apply(_read(sf_dir, "documents", ["doc_id", "text"])
+                            .map_batches(grams, batch_format="pyarrow"),
+                            "h", flag,
+                            pa.schema([("doc_id", pa.int64()),
+                                       ("dup", pa.int64()),
+                                       ("one", pa.int64())]))
             .groupby("doc_id")
             .aggregate(Sum("one", alias_name="n_windows"),
                        Sum("dup", alias_name="n_dup_windows")))
@@ -3073,10 +3030,13 @@ def q_image_caption_gate(sf_dir):
                          "keep": pa.array(keep),
                          "reason": pa.array(reason)})
 
-    return (_rd().from_arrow(t)
-            .map_batches(gate, batch_format="pyarrow")
-            .groupby("phash")
-            .map_groups(dedup_group, batch_format="pyarrow"))
+    from .neardup import group_apply
+    return group_apply(
+        _rd().from_arrow(t).map_batches(gate, batch_format="pyarrow"),
+        "phash", dedup_group,
+        pa.schema([("image_id", pa.string()), ("w", pa.int64()),
+                   ("h", pa.int64()), ("n_caption_tokens", pa.int64()),
+                   ("keep", pa.int64()), ("reason", pa.int64())]))
 
 
 # ---------------------------------------------------------------------------
@@ -3154,8 +3114,9 @@ def _lm_score_shuffled(docs):
     """Exact fallback past the envelope: train rows (doc_id = -1,
     weight = count) and per-doc scoring rows (weight = in-doc
     occurrences) co-partition by bigram hash through ONE exchange;
-    each group resolves train mass per distinct bigram STRING and
-    re-emits per-doc partial sums; a doc_id groupby folds the
+    each partition resolves train mass per distinct bigram STRING
+    (one factorize, no per-bigram call) and re-emits per-doc partial
+    sums; a doc_id groupby folds the
     integers.  Shuffled volume O(distinct bigrams per doc), never the
     text."""
     from ray.data.aggregate import Sum
@@ -3185,26 +3146,29 @@ def _lm_score_shuffled(docs):
                          "doc_id": pa.array(ids, pa.int64()),
                          "k": pa.array(ks, pa.int64())})
 
-    def score(grp: pa.Table) -> pa.Table:
-        g = np.asarray(grp["g"].to_pylist(), dtype=object)
-        d = grp["doc_id"].to_numpy()
-        k = grp["k"].to_numpy()
-        ids, nb, mass, oov = [], [], [], []
-        for s in np.unique(g):
-            sel = g == s
-            train_c = int(k[sel & (d == -1)].sum())
-            for doc, kk in zip(d[sel & (d != -1)], k[sel & (d != -1)]):
-                ids.append(int(doc))
-                nb.append(int(kk))
-                mass.append(int(kk) * train_c)
-                oov.append(int(kk) if not train_c else 0)
-        return pa.table({"doc_id": pa.array(ids, pa.int64()),
-                         "nb": pa.array(nb, pa.int64()),
-                         "m": pa.array(mass, pa.int64()),
-                         "v": pa.array(oov, pa.int64())})
+    def score(t: pa.Table) -> pa.Table:
+        # per bigram STRING (exact, never the hash) its training count,
+        # then one row per scored occurrence
+        import pandas as pd
+        codes = pd.factorize(t["g"].to_numpy(zero_copy_only=False))[0]
+        d, k = t["doc_id"].to_numpy(), t["k"].to_numpy()
+        train = np.zeros(codes.max(initial=-1) + 1, np.int64)
+        np.add.at(train, codes[d == -1], k[d == -1])
+        sel = d != -1
+        kk, tc = k[sel], train[codes[sel]]
+        return pa.table({"doc_id": pa.array(d[sel]),
+                         "nb": pa.array(kk),
+                         "m": pa.array(kk * tc),
+                         "v": pa.array(np.where(tc == 0, kk, 0))})
 
-    return (docs.map_batches(tagged, batch_format="pyarrow")
-            .groupby("h").map_groups(score, batch_format="pyarrow")
+    from .neardup import partition_apply
+    return (partition_apply(docs.map_batches(tagged,
+                                             batch_format="pyarrow"),
+                            "h", score,
+                            pa.schema([("doc_id", pa.int64()),
+                                       ("nb", pa.int64()),
+                                       ("m", pa.int64()),
+                                       ("v", pa.int64())]))
             .groupby("doc_id")
             .aggregate(Sum("nb", alias_name="n_bigrams"),
                        Sum("m", alias_name="mass"),
@@ -3341,11 +3305,12 @@ def _line_dedup_apply(b: pa.Table, winners) -> pa.Table:
 
 def _line_dedup_shuffled(docs):
     """Exact fallback for when the distinct-line space outgrows the
-    broadcast envelope: occurrences co-partition by line hash (the sort
-    key is a fixed-width int64; the text rides as payload), each group
-    elects first-wins per distinct STRING with one vectorized lexsort,
-    and a second shuffle folds flagged lines back into documents by
-    doc_id.  Two O(corpus) exchanges, nothing on the driver."""
+    broadcast envelope: occurrences co-partition by line hash (the
+    routing key is a fixed-width int64; the text rides as payload),
+    each partition elects first-wins per distinct STRING with one
+    vectorized lexsort, and a second exchange folds flagged lines back
+    into documents by doc_id.  Two O(corpus) exchanges, nothing on the
+    driver."""
     def explode(b: pa.Table) -> pa.Table:
         ids, nos, hs, lns = [], [], [], []
         for doc_id, t in zip(b["doc_id"].to_numpy(),
@@ -3368,19 +3333,20 @@ def _line_dedup_shuffled(docs):
                          "line_no": pa.array(np.concatenate(nos)),
                          "line": pa.array(lns, pa.string())})
 
-    def flag(g: pa.Table) -> pa.Table:
-        line = np.asarray(g["line"].to_pylist(), dtype=object)
-        d = g["doc_id"].to_numpy()
-        n = g["line_no"].to_numpy()
+    def flag(t: pa.Table) -> pa.Table:
+        import pandas as pd
+        line = pd.factorize(t["line"].to_numpy(zero_copy_only=False))[0]
+        d = t["doc_id"].to_numpy()
+        n = t["line_no"].to_numpy()
         order = np.lexsort((n, d, line))
         sl = line[order]
         first = np.ones(len(order), dtype=bool)
         first[1:] = sl[1:] != sl[:-1]
         keep = np.zeros(len(order), dtype=np.int64)
         keep[order[first]] = 1
-        return pa.table({"doc_id": pa.array(d),
-                         "line_no": pa.array(n),
-                         "line": g["line"],
+        return pa.table({"doc_id": t["doc_id"],
+                         "line_no": t["line_no"],
+                         "line": t["line"],
                          "keep": pa.array(keep)})
 
     def rebuild(g: pa.Table) -> pa.Table:
@@ -3395,9 +3361,15 @@ def _line_dedup_shuffled(docs):
             "n_lines": pa.array([len(n)], pa.int64()),
             "n_lines_kept": pa.array([int(keep.sum())], pa.int64())})
 
-    return (docs.map_batches(explode, batch_format="pyarrow")
-            .groupby("h").map_groups(flag, batch_format="pyarrow")
-            .groupby("doc_id").map_groups(rebuild, batch_format="pyarrow"))
+    from .neardup import group_apply, partition_apply
+    flagged = partition_apply(
+        docs.map_batches(explode, batch_format="pyarrow"), "h", flag,
+        pa.schema([("doc_id", pa.int64()), ("line_no", pa.int64()),
+                   ("line", pa.string()), ("keep", pa.int64())]))
+    return group_apply(
+        flagged, "doc_id", rebuild,
+        pa.schema([("doc_id", pa.int64()), ("clean_text", pa.string()),
+                   ("n_lines", pa.int64()), ("n_lines_kept", pa.int64())]))
 
 
 def q_line_dedup(sf_dir):
@@ -4067,22 +4039,34 @@ def _substr_rewrite(b: pa.Table, dup) -> pa.Table:
             (i for i, d in enumerate(_substr_digests(ws)) if d in dup),
             dtype=np.int64)
         rows.append(_substr_rebuild_row(int(doc_id), ws, starts))
-    return pa.table({
-        "doc_id": pa.array([r[0] for r in rows], pa.int64()),
-        "clean_text": pa.array([r[1] for r in rows], pa.string()),
-        "n_tokens": pa.array([r[2] for r in rows], pa.int64()),
-        "n_tokens_kept": pa.array([r[3] for r in rows], pa.int64())})
+    return _substr_table(rows)
+
+
+_SUBSTR_SCHEMA = pa.schema([("doc_id", pa.int64()),
+                            ("clean_text", pa.string()),
+                            ("n_tokens", pa.int64()),
+                            ("n_tokens_kept", pa.int64())])
+
+
+def _substr_table(rows: list[tuple]) -> pa.Table:
+    cols = list(zip(*rows)) or [()] * len(_SUBSTR_SCHEMA)
+    return pa.table([pa.array(c, f.type)
+                     for c, f in zip(cols, _SUBSTR_SCHEMA)],
+                    schema=_SUBSTR_SCHEMA)
 
 
 def _substr_dedup_shuffled(docs):
     """Exact fallback past the election envelope: occurrence rows
     (h=digest-high64 routing key, full digest, doc, pos) co-partition
-    by h; each group flags digests occurring >= 2 times (exact 128-bit
-    compare) and emits ONLY the duplicated (doc, pos) pairs; the
-    flagged positions then co-partition with the document payloads by
-    doc_id (union-tag, the _drop_ids_copartitioned pattern) and each
-    doc group rebuilds locally.  Two O(occurrences) exchanges, text
-    moves once, nothing on the driver."""
+    by h; each partition flags digests occurring >= 2 times (exact
+    128-bit compare, one factorize) and emits ONLY the duplicated
+    (doc, pos) pairs; the
+    flagged positions then meet the document payloads in a two-sided
+    exchange on doc_id, and each partition rebuilds its docs locally.
+    Two O(occurrences) exchanges, text moves once, nothing on the
+    driver."""
+    from .neardup import _apply, _key_part, partition_apply
+
     def explode(b: pa.Table) -> pa.Table:
         hs, ds, ids, ps = [], [], [], []
         for doc_id, t in zip(b["doc_id"].to_numpy(),
@@ -4097,51 +4081,36 @@ def _substr_dedup_shuffled(docs):
                          "doc_id": pa.array(ids, pa.int64()),
                          "pos": pa.array(ps, pa.int64())})
 
-    def flag(g: pa.Table) -> pa.Table:
-        d = np.asarray(g["d"].to_pylist(), dtype=object)
-        order = np.argsort(d)
-        sd = d[order]
-        same_prev = np.zeros(len(sd), dtype=bool)
-        same_prev[1:] = sd[1:] == sd[:-1]
-        dup_sorted = same_prev.copy()
-        dup_sorted[:-1] |= same_prev[1:]
-        dup = np.zeros(len(sd), dtype=bool)
-        dup[order] = dup_sorted
+    def flag(t: pa.Table) -> pa.Table:
+        import pandas as pd
+        codes = pd.factorize(t["d"].to_numpy(zero_copy_only=False))[0]
+        dup = np.bincount(codes)[codes] >= 2
         return pa.table({
-            "doc_id": pa.array(g["doc_id"].to_numpy()[dup]),
-            "pos": pa.array(g["pos"].to_numpy()[dup])})
+            "doc_id": pa.array(t["doc_id"].to_numpy()[dup]),
+            "pos": pa.array(t["pos"].to_numpy()[dup])})
 
-    def rebuild(g: pa.Table) -> pa.Table:
-        pos = g["pos"].to_numpy()
-        texts = g["text"].to_pylist()
-        doc_id = int(g["doc_id"][0].as_py())
-        text = next(t for t, p in zip(texts, pos) if p < 0)
-        starts = np.sort(pos[pos >= 0])
-        r = _substr_rebuild_row(doc_id, text.split(), starts)
-        return pa.table({
-            "doc_id": pa.array([r[0]], pa.int64()),
-            "clean_text": pa.array([r[1]], pa.string()),
-            "n_tokens": pa.array([r[2]], pa.int64()),
-            "n_tokens_kept": pa.array([r[3]], pa.int64())})
+    def rebuild(texts: pa.Table, dups) -> pa.Table:
+        d_ids = pos = np.empty(0, np.int64)
+        if dups is not None:
+            d_ids, pos = dups["doc_id"].to_numpy(), dups["pos"].to_numpy()
+            order = np.lexsort((pos, d_ids))
+            d_ids, pos = d_ids[order], pos[order]
+        ids = texts["doc_id"].to_numpy()
+        lo = np.searchsorted(d_ids, ids, side="left")
+        hi = np.searchsorted(d_ids, ids, side="right")
+        rows = []
+        for i, t, a, b in zip(ids, texts["text"].to_pylist(), lo, hi):
+            ws = t.split()
+            if ws:
+                rows.append(_substr_rebuild_row(int(i), ws, pos[a:b]))
+        return _substr_table(rows)
 
-    def tag_docs(b: pa.Table) -> pa.Table:
-        keep = [bool(t.split()) for t in b["text"].to_pylist()]
-        b = b.filter(pa.array(keep))
-        return pa.table({
-            "doc_id": b["doc_id"],
-            "pos": pa.array(np.full(len(b), -1, dtype=np.int64)),
-            "text": b["text"]})
-
-    dup_pos = (docs.map_batches(explode, batch_format="pyarrow")
-               .groupby("h").map_groups(flag, batch_format="pyarrow")
-               .map_batches(lambda b: pa.table({
-                   "doc_id": b["doc_id"], "pos": b["pos"],
-                   "text": pa.array([None] * len(b), pa.string())}),
-                   batch_format="pyarrow"))
-    tagged_docs = docs.map_batches(tag_docs, batch_format="pyarrow")
-    return (tagged_docs.union(dup_pos)
-            .groupby("doc_id")
-            .map_groups(rebuild, batch_format="pyarrow"))
+    dup_pos = partition_apply(
+        docs.map_batches(explode, batch_format="pyarrow"), "h", flag,
+        pa.schema([("doc_id", pa.int64()), ("pos", pa.int64())]))
+    return _apply(rebuild, _SUBSTR_SCHEMA,
+                  (docs, functools.partial(_key_part, "doc_id")),
+                  (dup_pos, functools.partial(_key_part, "doc_id")))
 
 
 def q_substring_dedup(sf_dir):
@@ -4317,18 +4286,12 @@ def q_dedup_incremental(sf_dir):
     from .state.cuckoo import CuckooFilter
 
     def digest(b: pa.Table) -> pa.Table:
-        ids = b["doc_id"].to_numpy()
-        h1, h2 = [], []
-        for t in b["text"].to_pylist():
-            d = hashlib.md5(t.encode()).digest()
-            h1.append(int.from_bytes(d[:8], "big", signed=True))
-            h2.append(int.from_bytes(d[8:], "big", signed=True))
-        h1 = np.array(h1, dtype=np.int64)
+        h1, h2 = _md5_halves(b["text"].to_pylist())
         return pa.table({
             "doc_id": b["doc_id"],
             "h1": pa.array(h1),
-            "h2": pa.array(h2, pa.int64()),
-            "bucket": pa.array(h1 % _INCR_BUCKETS, pa.int64())})
+            "h2": pa.array(h2),
+            "bucket": pa.array(h1 % _INCR_BUCKETS)})
 
     def refresh(g: pa.Table) -> pa.Table:
         ids = g["doc_id"].to_numpy()
@@ -4363,10 +4326,12 @@ def q_dedup_incremental(sf_dir):
             "doc_id": pa.array(new_ids[first].astype(np.int64)),
             "content_hash": pa.array(keep_h, pa.string())})
 
-    return (_read(sf_dir, "documents", ["doc_id", "text"])
-            .map_batches(digest, batch_format="pyarrow")
-            .groupby("bucket")
-            .map_groups(refresh, batch_format="pyarrow"))
+    from .neardup import group_apply
+    return group_apply(
+        _read(sf_dir, "documents", ["doc_id", "text"])
+        .map_batches(digest, batch_format="pyarrow"),
+        "bucket", refresh,
+        pa.schema([("doc_id", pa.int64()), ("content_hash", pa.string())]))
 
 
 ORACLES["dedup_incremental"] = r"""
@@ -4929,10 +4894,13 @@ def q_image_aspect_buckets(sf_dir):
                          "batch_idx": pa.array(pos // _ASPECT_BATCH),
                          "slot": pa.array(pos % _ASPECT_BATCH)})
 
-    return (_rd().from_arrow(t)
-            .map_batches(assign, batch_format="pyarrow")
-            .groupby("bucket")
-            .map_groups(pack, batch_format="pyarrow"))
+    from .neardup import group_apply
+    return group_apply(
+        _rd().from_arrow(t).map_batches(assign, batch_format="pyarrow"),
+        "bucket", pack,
+        pa.schema([("image_id", pa.string()), ("w", pa.int64()),
+                   ("h", pa.int64()), ("bucket", pa.int64()),
+                   ("batch_idx", pa.int64()), ("slot", pa.int64())]))
 
 
 q_image_aspect_buckets.__doc__ = q_image_aspect_buckets.__doc__.replace(
@@ -5640,9 +5608,11 @@ def q_epoch_shuffle(sf_dir):
                          "shard": pa.array(key % _EPOCH_SHARDS),
                          "pos": pa.array(pos)})
 
-    return (docs.map_batches(keys, batch_format="pyarrow")
-            .groupby("g")
-            .map_groups(rank, batch_format="pyarrow"))
+    from .neardup import group_apply
+    return group_apply(
+        docs.map_batches(keys, batch_format="pyarrow"), "g", rank,
+        pa.schema([("epoch", pa.int64()), ("doc_id", pa.int64()),
+                   ("shard", pa.int64()), ("pos", pa.int64())]))
 
 
 ORACLES["epoch_shuffle"] = rf"""
@@ -5798,10 +5768,13 @@ def q_image_exact_dedup(sf_dir):
                          "keep": pa.array(keep),
                          "kept_as": pa.array(list(winner), pa.string())})
 
-    return (_rd().from_arrow(t)
-            .map_batches(digest, batch_format="pyarrow", batch_size=64)
-            .groupby("d_hi")
-            .map_groups(collapse, batch_format="pyarrow"))
+    from .neardup import group_apply
+    return group_apply(
+        _rd().from_arrow(t)
+        .map_batches(digest, batch_format="pyarrow", batch_size=64),
+        "d_hi", collapse,
+        pa.schema([("image_id", pa.string()), ("keep", pa.int64()),
+                   ("kept_as", pa.string())]))
 
 
 _HTML_PAGES = 500
@@ -6691,7 +6664,8 @@ def q_tfidf_search(sf_dir):
     docs reach the final top-k rank.  Tokens follow the repo's
     whitespace-run convention (`token_count`)."""
     import pandas as pd
-    from ray.data.aggregate import Sum
+
+    from .neardup import partition_apply
 
     terms = list(_SEARCH_TERMS)
 
@@ -6709,11 +6683,11 @@ def q_tfidf_search(sf_dir):
             "word": pa.array(terms + ["__docs__"], pa.string()),
             "df": pa.array(np.append(dfc, np.int64(len(texts))))})
 
-    stats = (_read(sf_dir, "documents", ["text"])
-             .map_batches(df_partials, batch_format="pyarrow")
-             .groupby("word")
-             .aggregate(Sum("df", alias_name="df"))
-             .take_all())
+    stats = partition_apply(
+        _read(sf_dir, "documents", ["text"])
+        .map_batches(df_partials, batch_format="pyarrow"), "word",
+        functools.partial(_sum_by, "word", "df", "df"),
+        pa.schema([("word", pa.string()), ("df", pa.int64())])).take_all()
     df_map = {r["word"]: int(r["df"]) for r in stats}
     n_docs = df_map.pop("__docs__", 0)
     weights = {t: ((n_docs - df_map[t]), df_map[t])

@@ -1,8 +1,9 @@
 """The one hash exchange behind every public exchange of
 pyspider_ray.neardup: the partition count is sized by input bytes, so
 results must not depend on it (forced many-partition runs equal the
-one-partition run and a pandas reference), and every exchange returns
-its declared schema when an input is empty.
+one-partition run and a pandas reference), every exchange returns
+its declared schema when an input is empty, and no module of the
+package groups rows any other way.
 
 Reduce fns are defined INSIDE the tests: module-level functions in a
 test file pickle by reference and Ray workers can't import it."""
@@ -44,6 +45,9 @@ SIGS = pd.DataFrame({"doc_id": np.arange(100, dtype=np.int64),
                      "sig": np.arange(100, dtype=np.int64) * 7})
 PAIRS = pd.DataFrame({"doc_a": _RNG.randint(0, 120, 150).astype(np.int64),
                       "doc_b": _RNG.randint(0, 100, 150).astype(np.int64)})
+SOURCES = np.array([f"src-{i}.example" for i in range(40)], dtype=object)
+KV_STR = pd.DataFrame({"source": _RNG.choice(SOURCES, 600),
+                       "v": _RNG.randint(0, 10**6, 600).astype(np.int64)})
 
 
 def _triples(n_docs=90, n_bands=4, queries=False):
@@ -97,6 +101,23 @@ def _case(name):
         ref = (KV.groupby("k")["v"].agg(["sum", "size"]).reset_index()
                .rename(columns={"sum": "s", "size": "n"}))
         return (lambda: fn(_ds(KV), "k", sums, schema)), ref
+    if name == "group_apply_string_key":
+        # several split tasks (one per input block) each hash the key:
+        # a per-process salted hash would scatter a source over
+        # partitions and emit it twice
+        schema = pa.schema([("source", pa.string()), ("s", pa.int64()),
+                            ("n", pa.int64())])
+
+        def total(g):
+            return pa.table({"source": g["source"].slice(0, 1),
+                             "s": pa.array([int(g["v"].to_numpy().sum())],
+                                           pa.int64()),
+                             "n": pa.array([len(g)], pa.int64())})
+
+        ref = (KV_STR.groupby("source")["v"].agg(["sum", "size"])
+               .reset_index().rename(columns={"sum": "s", "size": "n"}))
+        return ((lambda: neardup.group_apply(_ds(KV_STR), "source", total,
+                                             schema)), ref)
     if name == "min_by_key":
         return ((lambda: neardup.min_by_key(_ds(KV), "k", "v")),
                 KV.groupby("k", as_index=False)["v"].min())
@@ -131,7 +152,8 @@ def _case(name):
             _bucket_pairs(tri, bipartite=True))
 
 
-EXCHANGES = ["partition_apply", "group_apply", "min_by_key",
+EXCHANGES = ["partition_apply", "group_apply", "group_apply_string_key",
+             "min_by_key",
              "hash_join_inner", "hash_join_left", "hash_join_semi",
              "hash_join_anti", "attach_column", "join_signatures",
              "candidate_pairs", "bipartite_candidate_pairs"]
@@ -192,6 +214,48 @@ def test_partition_count_follows_bytes(monkeypatch):
     parts = neardup._partitioned((a, None))
     assert len(parts) == 64
     assert len(calls) == 64 and all(len(p[0]) == 64 for p in parts)
+
+
+def test_string_key_partition_is_process_independent():
+    """The string routing hash is fixed-key SipHash, not the salted
+    built-in hash(): two interpreters with different hash seeds route
+    every key to the same partition."""
+    import json
+    import os
+    import subprocess
+    import sys
+    code = ("import pyarrow as pa; from pyspider_ray import neardup; "
+            f"t = pa.table({{'s': {list(SOURCES)!r}}}); "
+            "print(neardup._key_part('s', t, 7).tolist())")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    outs = {subprocess.run([sys.executable, "-c", code], cwd=root,
+                           capture_output=True, text=True, check=True,
+                           env={**os.environ, "PYTHONHASHSEED": seed}
+                           ).stdout for seed in ("1", "2")}
+    assert len(outs) == 1
+    assert len(set(json.loads(outs.pop()))) > 1
+
+
+def test_one_shuffle_mechanism():
+    """Every per-key step of the package runs on the neardup hash
+    exchange: no Ray Data sort-based ``.map_groups(`` call and no
+    ``n_buckets`` knob on the query modules."""
+    import ast
+    import pathlib
+
+    import pyspider_ray
+    found = []
+    for path in sorted(pathlib.Path(pyspider_ray.__file__).parent
+                       .rglob("*.py")):
+        query_module = path.name in ("queries.py", "training_queries.py")
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and \
+                    node.attr == "map_groups":
+                found.append(f"{path.name}:{node.lineno} .map_groups")
+            elif query_module and isinstance(node, ast.arg) and \
+                    node.arg == "n_buckets":
+                found.append(f"{path.name}:{node.lineno} n_buckets")
+    assert not found, found
 
 
 def _empty(**cols):

@@ -29,6 +29,20 @@ def normalize(df: pd.DataFrame) -> pd.DataFrame:
     return df
 
 
+def assert_same(name: str, ours: pd.DataFrame, ref: pd.DataFrame):
+    """Same columns and, order-insensitively, the same values."""
+    ours, ref = normalize(ours), normalize(ref)
+    assert list(ours.columns) == list(ref.columns), name
+    assert len(ours) == len(ref), name
+    for c in ours.columns:
+        a, b = ours[c], ref[c]
+        if a.dtype.kind == "f" or b.dtype.kind == "f":
+            assert ((a - b).abs() < 1e-9).all(), (name, c)
+        else:
+            assert (a.astype(str).values == b.astype(str).values).all(), \
+                (name, c)
+
+
 def to_pandas(result) -> pd.DataFrame:
     import pyarrow as pa
     if isinstance(result, pd.DataFrame):
@@ -57,14 +71,5 @@ class TestOracleParity:
                        fromlist=["ORACLES"]).ORACLES)))
     def test_parity(self, name, entries, sf_dir):
         queries, oracles = entries
-        ours = normalize(to_pandas(queries[name](sf_dir)))
-        ref = normalize(run_oracle(oracles[name], sf_dir))
-        assert list(ours.columns) == list(ref.columns), name
-        assert len(ours) == len(ref), name
-        for c in ours.columns:
-            a, b = ours[c], ref[c]
-            if a.dtype.kind == "f" or b.dtype.kind == "f":
-                assert ((a - b).abs() < 1e-9).all(), (name, c)
-            else:
-                assert (a.astype(str).values == b.astype(str).values).all(), \
-                    (name, c)
+        assert_same(name, to_pandas(queries[name](sf_dir)),
+                    run_oracle(oracles[name], sf_dir))
