@@ -110,11 +110,7 @@ def bench_crawl() -> dict:
                       out_dir=out, loop_limit=CRAWL_LOOP_LIMIT,
                       batch_size=256, concurrency=conc,
                       page_scale=CRAWL_PAGE_SCALE,
-                      persist_payload=False,
-                      # heavy-payload runs pre-touch their working set
-                      # in parallel at pool startup (slow-phase faults
-                      # otherwise land inside the timed rounds)
-                      prefault_mb=512 if CRAWL_PAGE_SCALE >= 8 else 0)
+                      persist_payload=False)
     pipe = CrawlPipeline(cfg)
     pipe.seed()
     warmup = int(os.environ.get("GRAFT_BENCH_WARMUP", "4"))

@@ -6,18 +6,16 @@ and frees hundreds of MB of numpy/Arrow temporaries per batch, so
 every batch repays first-touch page faults on freshly mapped pages —
 on virtualized hosts (microVM/overcommitted memory) those faults are
 the dominant cost: the same expand kernel measured 59.7 s on fresh
-pages vs 0.9 s on reused ones.  Raising M_MMAP_THRESHOLD and
-M_TRIM_THRESHOLD keeps big blocks on malloc's free list so pages are
-touched once per worker, not once per batch.
+pages vs 0.9 s on reused ones (BASELINE.md "Allocator discovery").
+Raising M_MMAP_THRESHOLD and M_TRIM_THRESHOLD keeps big blocks on
+malloc's free list so pages are touched once per worker, not once per
+batch.
 
 Called at package import, which makes it take effect in every Ray
-worker the moment it unpickles one of our stage functions.  Opt out
-with PYSPIDER_RAY_NO_MALLOC_TUNE=1.
+worker the moment it unpickles one of our stage functions.
 """
 
 from __future__ import annotations
-
-import os
 
 _done = False
 
@@ -25,8 +23,8 @@ _done = False
 def tune_malloc() -> bool:
     """Idempotent; returns True if tuning was applied."""
     global _done
-    if _done or os.environ.get("PYSPIDER_RAY_NO_MALLOC_TUNE"):
-        return _done
+    if _done:
+        return True
     try:
         import ctypes
         libc = ctypes.CDLL("libc.so.6", use_errno=True)
@@ -39,55 +37,3 @@ def tune_malloc() -> bool:
     except Exception:
         pass   # non-glibc platform: nothing to tune
     return _done
-
-
-_prefaulted_mb = 0
-_prefault_given_up = False
-
-# stop prefaulting below this first-touch bandwidth: in the host's slow
-# memory phases (~5-50 MB/s) bulk-faulting a 256 MB arena costs tens of
-# seconds per worker — strictly worse than faulting lazily on demand,
-# which only pays for pages the kernels actually use (measured: the
-# sf0.1 jaccard exchange 267 s with bulk prefault vs 57 s without in a
-# ~15 MB/s phase; ~0.1 s total in a >1 GB/s phase either way)
-_MIN_MB_PER_S = 200.0
-_FIRST_CHUNK_MB = 2   # probe cost in the worst phase: ~32 workers x
-#                       2 MB at ~15 MB/s aggregate ≈ 4 s fleet-wide;
-#                       chunks double once the phase proves fast
-
-
-def prefault_arena(mb: int | None = None) -> int:
-    """Touch up to ``mb`` MB of fresh pages ONCE per process so the
-    tuned malloc free list is pre-populated before the first timed
-    kernel — the raw-task analogue of ``_WorkerActor(prefault_mb=)``:
-    Ray reuses worker processes across tasks, so the first exchange
-    task in each worker pays the fault cost here and every later
-    allocation reuses the arena.
-
-    ADAPTIVE: faults in 8 MB chunks and gives up for the life of the
-    process when the measured fault bandwidth drops below
-    ~200 MB/s — in the host's slow memory phases bulk prefaulting
-    costs far more than the lazy faults it would save.  Idempotent per
-    process; size via PYSPIDER_RAY_PREFAULT_MB (default 256,
-    0 disables).  Returns the high-water prefault MB."""
-    global _prefaulted_mb, _prefault_given_up
-    if mb is None:
-        mb = int(os.environ.get("PYSPIDER_RAY_PREFAULT_MB", "256"))
-    if mb <= 0 or _prefaulted_mb >= mb or _prefault_given_up:
-        return _prefaulted_mb
-    tune_malloc()
-    import time
-    import numpy as np
-    chunk = _FIRST_CHUNK_MB
-    while _prefaulted_mb < mb:
-        step = min(chunk, mb - _prefaulted_mb)
-        t0 = time.perf_counter()
-        scratch = np.ones(step << 17)    # 1 MB = 2^17 f64
-        scratch[::512] = 2.0   # touch every page (ones() already
-        del scratch            # faults; guards lazy-alloc impls)
-        _prefaulted_mb += step
-        if step / max(time.perf_counter() - t0, 1e-9) < _MIN_MB_PER_S:
-            _prefault_given_up = True    # slow phase: lazy wins
-            break
-        chunk *= 2
-    return _prefaulted_mb

@@ -25,9 +25,9 @@ processes them.  Two reasons, both measured at sf0.1:
 
 - Ray Data's sort-based groupby spent ~70 s sorting the 37 M-row pair
   table that hash partitioning moves without any sort;
-- these tasks unpickle ``pyspider_ray`` and therefore run with the
-  package's allocator tuning (``_malloc.py``) — on virtualized hosts
-  the first-touch page faults of fresh numpy/Arrow pages are the
+- these tasks unpickle ``pyspider_ray``, whose import applies the
+  package's allocator tuning (``_malloc.tune_malloc``) — on virtualized
+  hosts the first-touch page faults of fresh numpy/Arrow pages are the
   dominant cold-run cost, and Ray Data's internal shuffle tasks can't
   be tuned from library code.
 
@@ -62,8 +62,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-
-from ._malloc import prefault_arena
 
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
 _GOLD2 = np.uint64(0xC2B2AE3D27D4EB4F)
@@ -210,7 +208,7 @@ def _arrow_schema(ds) -> pa.Schema:
 
 
 # -- the exchange (module-level tasks: registered once, unpickled with the
-#    package so _malloc tuning is active inside them) -----------------------
+#    package, whose import applies the tune_malloc allocator setting) -------
 
 # input bytes per reduce partition: a partition's fixed cost (~3.5 ms)
 # is 10% of the reduce work of ~8 MB (partition_apply, ~4 ms/MB, 1 CPU)
@@ -258,7 +256,6 @@ def _map_groups(refs: list, sizes: list, P: int) -> list[list]:
 def _nd_split(part_of, P: int, *blocks) -> tuple:
     """Map side of every exchange: one block group → P sub-tables
     (one stable argsort by partition id + P zero-copy slices)."""
-    prefault_arena()
     t = pa.concat_tables(blocks)
     ids = part_of(t, P)
     order = np.argsort(ids, kind="stable")
@@ -384,7 +381,6 @@ def _nd_apply(fn, schema: pa.Schema, counts: tuple, *parts) -> pa.Table:
     pins every key to exactly one partition, so partition-local
     per-key results are global.  An empty first side or result comes
     back as the declared ``schema``."""
-    prefault_arena()
     bounds = np.cumsum((0,) + counts)
     sides = [_concat(parts[i:j]) for i, j in zip(bounds[:-1], bounds[1:])]
     out = fn(*sides) if sides[0] is not None else None

@@ -132,13 +132,6 @@ class CrawlConfig:
     # single box the fixed-bandwidth local disk otherwise measures itself
     # rather than the engine (cluster object storage scales with nodes)
     persist_payload: bool = True
-    # >0: each data-plane worker first-touches this many MB of arena at
-    # __init__ (freed onto the glibc free list, see bench._malloc notes)
-    # so heavy-payload runs fault their working set in parallel at pool
-    # startup instead of serially inside the first timed rounds — on
-    # this host single-threaded first-touch drops to ~5-15 MB/s in slow
-    # memory phases while 8 parallel faulters aggregate ~70 MB/s
-    prefault_mb: int = 0
 
     def digest(self) -> str:
         import hashlib
@@ -223,12 +216,9 @@ class _WorkerActor:
                  handler_spec: tuple | None = None,
                  fetcher_cls: type | None = None,
                  sink_cls: type | None = None,
-                 batch_rows: int = 256,
-                 prefault_mb: int = 0):
-        import gc
+                 batch_rows: int = 256):
         import queue
         import threading
-        gc.set_threshold(100_000, 50, 100)
         if fetcher_cls is None:
             from ..stages.fetcher import SyntheticFetcher
             fetcher_cls = SyntheticFetcher
@@ -254,10 +244,6 @@ class _WorkerActor:
         # bounds the high-water mark regardless of chunk size (and is
         # the right shape for real image payloads at 100 TB).
         self.batch_rows = max(1, batch_rows)
-        if prefault_mb > 0:
-            import numpy as _np
-            scratch = _np.ones(prefault_mb << 17)   # prefault_mb MB
-            del scratch
         # payload writes happen off the compute path (bounded depth so a
         # slow disk backpressures instead of ballooning memory); flush()
         # joins the queue — called before checkpoints/result reads
@@ -605,7 +591,7 @@ class CrawlPipeline:
                                  (256 << 20) // est_row_bytes))
         return worker_cls.remote(fk, pk, cfg.persist_payload, spec,
                                  cfg.fetcher_cls, cfg.sink_cls,
-                                 batch_rows, cfg.prefault_mb)
+                                 batch_rows)
 
     def _worker_pool(self) -> list:
         """Lazily create the persistent data-plane actor pool."""

@@ -43,8 +43,7 @@ import pyarrow as pa
 import ray
 
 from ..neardup import (_band_part, _key_part, _partitioned,
-                       bipartite_candidate_pairs, join_signatures,
-                       prefault_arena)
+                       bipartite_candidate_pairs, join_signatures)
 
 N_BUCKETS = 64
 
@@ -52,7 +51,6 @@ N_BUCKETS = 64
 @ray.remote
 def _write_bucket(path: str, schema: pa.Schema, *parts) -> int:
     import pyarrow.parquet as pq
-    prefault_arena()
     parts = [x for x in parts if len(x)]
     t = pa.concat_tables(parts) if parts else schema.empty_table()
     pq.write_table(t, path)

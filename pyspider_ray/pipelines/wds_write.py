@@ -34,7 +34,7 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-from ..neardup import _partitioned, prefault_arena
+from ..neardup import _partitioned
 from .._io import read_table as _read
 
 SHARD_CHARS = 4096            # shard byte budget (chars stand in)
@@ -95,7 +95,6 @@ def _write_part(p: int, out_dir: str, offsets: np.ndarray,
     sum), sort the partition into global key order, publish
     `part=p/data.parquet` + `_DONE` atomically."""
     import pyarrow.parquet as pq
-    prefault_arena()
     parts = [x for x in parts if len(x)]
     t = pa.concat_tables(parts) if parts else None
     pdir = os.path.join(out_dir, f"part={p:04d}")

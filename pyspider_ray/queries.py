@@ -16,6 +16,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 
@@ -43,15 +44,38 @@ def _round_c(x) -> np.ndarray:
     return (np.sign(a) * np.floor(np.abs(a) * 100.0 + 0.5)).astype(np.int64)
 
 
+def _group_sum(keys: list, t: pa.Table) -> pa.Table:
+    """Per distinct ``keys`` tuple, the sum of every other column."""
+    cols = [c for c in t.column_names if c not in keys]
+    g = t.group_by(keys).aggregate([(c, "sum") for c in cols])
+    return pa.table([g[k] for k in keys] + [g[f"{c}_sum"] for c in cols],
+                    names=keys + cols)
+
+
+def _sum_partials(ds, keys: list, schema: pa.Schema):
+    """Combiner aggregate: ``_group_sum`` inside each batch, then once
+    more per hash partition routed by ``keys[0]``, returning the
+    declared ``schema`` (keys, then the summed int64 columns).  For
+    few-key aggregates Ray's sort-based ``groupby().aggregate`` emits
+    schema-less empty blocks when its partitions outnumber the keys."""
+    from .neardup import partition_apply
+    part = functools.partial(_group_sum, keys)
+    return partition_apply(ds.map_batches(part, batch_format="pyarrow"),
+                           keys[0], part, schema)
+
+
 # ---------------------------------------------------------------------------
 # frontier / scheduler operators (SURVEY §2.1, §2.5, §2.6)
 # ---------------------------------------------------------------------------
 
 def q_status_count(sf_dir):
     """A1 — per-status GROUP BY count (sqlite/taskdb.py:85-98)."""
-    from ray.data.aggregate import Count
-    return (_read(sf_dir, "orders", ["o_orderstatus"])
-            .groupby("o_orderstatus").aggregate(Count(alias_name="n")))
+    def ones(b: pa.Table) -> pa.Table:
+        return b.append_column("n", pa.array(np.ones(len(b), np.int64)))
+    return _sum_partials(
+        _read(sf_dir, "orders", ["o_orderstatus"])
+        .map_batches(ones, batch_format="pyarrow"), ["o_orderstatus"],
+        pa.schema([("o_orderstatus", pa.string()), ("n", pa.int64())]))
 
 
 def q_load_tasks_scan(sf_dir):
@@ -145,17 +169,19 @@ def q_select_quota(sf_dir):
 def q_retry_ladder(sf_dir):
     """W4 — DEFAULT_RETRY_DELAY ladder (scheduler.py:155-161) applied to
     a retried-count column, then counted per (retried, delay)."""
-    from ray.data.aggregate import Count
     ladder = {0: 30, 1: 3600, 2: 21600, 3: 43200}
     def prep(b: pa.Table) -> pa.Table:
         retried = pc.subtract(b["l_linenumber"], 1).to_numpy(zero_copy_only=False)
         delay = np.array([ladder.get(int(r), 86400) for r in retried],
                          dtype=np.int64)
         return pa.table({"retried": pa.array(retried.astype(np.int64)),
-                         "delay": pa.array(delay)})
-    return (_read(sf_dir, "lineitem", ["l_linenumber"])
-            .map_batches(prep, batch_format="pyarrow")
-            .groupby(["retried", "delay"]).aggregate(Count(alias_name="n")))
+                         "delay": pa.array(delay),
+                         "n": pa.array(np.ones(len(delay), np.int64))})
+    return _sum_partials(
+        _read(sf_dir, "lineitem", ["l_linenumber"])
+        .map_batches(prep, batch_format="pyarrow"), ["retried", "delay"],
+        pa.schema([("retried", pa.int64()), ("delay", pa.int64()),
+                   ("n", pa.int64())]))
 
 
 def q_topn_per_group(sf_dir):
@@ -276,63 +302,40 @@ def q_pricing_summary(sf_dir):
     counts keeps every column an exact int64.
 
     Scale shape: the canonical combiner aggregate — each batch
-    collapses to ≤ |flags×statuses| partial rows inside map_batches,
-    the groupby moves partials only; one pass, no join, no sort."""
-    from ray.data.aggregate import Sum
-
-    import pandas as pd
-
+    collapses to ≤ |flags×statuses| partial rows (Arrow's hash
+    group-by, no per-row Python objects), the exchange moves partials
+    only; one pass, no join, no sort."""
     cutoff = np.datetime64("2000-12-01")
 
-    def partial(b: pa.Table) -> pa.Table:
+    def rows(b: pa.Table) -> pa.Table:
         m = b["l_shipdate"].to_numpy() <= cutoff
-        mask = pa.array(m)
-        # dictionary-encode the two tiny string keys -> ONE int code
-        # per row (no per-row Python objects in the hot path)
-        rf = b["l_returnflag"].combine_chunks().dictionary_encode()
-        ls = b["l_linestatus"].combine_chunks().dictionary_encode()
-        rfc = rf.indices.to_numpy(zero_copy_only=False)[m]
-        lsc = ls.indices.to_numpy(zero_copy_only=False)[m]
-        nls = len(ls.dictionary)
-        code = rfc * nls + lsc
-        qty = b["l_quantity"].to_numpy()[m]
-        price = b["l_extendedprice"].to_numpy()[m]
-        disc = b["l_discount"].to_numpy()[m]
-        tax = b["l_tax"].to_numpy()[m]
-        cents = np.floor(price * 100.0 + 0.5).astype(np.int64)
-        d = np.floor(disc * 100.0 + 0.5).astype(np.int64)
-        t = np.floor(tax * 100.0 + 0.5).astype(np.int64)
-        u, inv = np.unique(code, return_inverse=True)
-        def fold(x):
-            out = np.zeros(len(u), dtype=np.int64)
-            np.add.at(out, inv, x)
-            return out
-        rfd = rf.dictionary.to_pylist()
-        lsd = ls.dictionary.to_pylist()
-        return pa.table({
-            "l_returnflag": pa.array([rfd[c // nls] for c in u],
-                                     pa.string()),
-            "l_linestatus": pa.array([lsd[c % nls] for c in u],
-                                     pa.string()),
-            "sum_qty": pa.array(fold(np.floor(qty * 100.0 + 0.5)
-                                     .astype(np.int64))),
-            "sum_base_c": pa.array(fold(cents)),
-            "sum_disc_c4": pa.array(fold(cents * (100 - d))),
-            "sum_charge_c6": pa.array(fold(cents * (100 - d)
-                                           * (100 + t))),
-            "n_rows": pa.array(fold(np.ones(len(code), np.int64)))})
 
-    return (_read(sf_dir, "lineitem",
-                  ["l_returnflag", "l_linestatus", "l_quantity",
-                   "l_extendedprice", "l_discount", "l_tax",
-                   "l_shipdate"])
-            .map_batches(partial, batch_format="pyarrow")
-            .groupby(["l_returnflag", "l_linestatus"])
-            .aggregate(Sum("sum_qty", alias_name="sum_qty"),
-                       Sum("sum_base_c", alias_name="sum_base_c"),
-                       Sum("sum_disc_c4", alias_name="sum_disc_c4"),
-                       Sum("sum_charge_c6", alias_name="sum_charge_c6"),
-                       Sum("n_rows", alias_name="n_rows")))
+        def c100(col: str) -> np.ndarray:
+            return np.floor(b[col].to_numpy()[m] * 100.0
+                            + 0.5).astype(np.int64)
+        cents, d, t = (c100(c) for c in
+                       ("l_extendedprice", "l_discount", "l_tax"))
+        mask = pa.array(m)
+        return pa.table({
+            "l_returnflag": b["l_returnflag"].filter(mask),
+            "l_linestatus": b["l_linestatus"].filter(mask),
+            "sum_qty": c100("l_quantity"),
+            "sum_base_c": cents,
+            "sum_disc_c4": cents * (100 - d),
+            "sum_charge_c6": cents * (100 - d) * (100 + t),
+            "n_rows": np.ones(len(cents), np.int64)})
+
+    return _sum_partials(
+        _read(sf_dir, "lineitem",
+              ["l_returnflag", "l_linestatus", "l_quantity",
+               "l_extendedprice", "l_discount", "l_tax", "l_shipdate"])
+        .map_batches(rows, batch_format="pyarrow"),
+        ["l_returnflag", "l_linestatus"],
+        pa.schema([("l_returnflag", pa.string()),
+                   ("l_linestatus", pa.string())]
+                  + [(c, pa.int64()) for c in
+                     ("sum_qty", "sum_base_c", "sum_disc_c4",
+                      "sum_charge_c6", "n_rows")]))
 
 
 def q_order_priority_count(sf_dir):
@@ -1221,11 +1224,9 @@ def q_status_priority_pivot(sf_dir):
     Scale shape: each batch collapses to a ≤|status|×|prio| crosstab
     INSIDE map_batches (vectorized bincount over status·K+prio
     codes — the pivot happens before the exchange, so the shuffle
-    moves ≤15 wide rows per batch), then a statuses-bounded groupby
-    sums the partials column-wise.  No row-level data ever pivots
+    moves ≤15 wide rows per batch), then the hash exchange sums the
+    partials column-wise per status.  No row-level data ever pivots
     post-shuffle."""
-    from ray.data.aggregate import Sum
-
     K = len(_PIVOT_PRIOS)
 
     def crosstab(b: pa.Table) -> pa.Table:
@@ -1249,13 +1250,12 @@ def q_status_priority_pivot(sf_dir):
             np.bincount(sc, minlength=n_st).astype(np.int64))
         return pa.table(cols)
 
-    aggs = [Sum(f"n_p{j + 1}", alias_name=f"n_p{j + 1}")
-            for j in range(K)] + [Sum("n_total", alias_name="n_total")]
-    return (_read(sf_dir, "orders",
-                  ["o_orderstatus", "o_orderpriority"])
-            .map_batches(crosstab, batch_format="pyarrow")
-            .groupby("o_orderstatus")
-            .aggregate(*aggs))
+    return _sum_partials(
+        _read(sf_dir, "orders", ["o_orderstatus", "o_orderpriority"])
+        .map_batches(crosstab, batch_format="pyarrow"), ["o_orderstatus"],
+        pa.schema([("o_orderstatus", pa.string())]
+                  + [(f"n_p{j + 1}", pa.int64()) for j in range(K)]
+                  + [("n_total", pa.int64())]))
 
 
 def q_customer_running_total(sf_dir):

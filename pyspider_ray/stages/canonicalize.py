@@ -1,9 +1,10 @@
 """Canonicalization stage: url → (canonical url, host, taskid, urlhash).
 
 The M2/M3/M6 trio (pyspider/libs/url.py:29-70 +
-base_handler.py:342-344) as a batch transform.  md5 is inherently
-per-row, but the loop body is two C calls (hashlib + urlsplit); at
-~1 µs/URL a 64 k-row batch canonicalizes in well under 0.1 s.
+base_handler.py:342-344) as a batch transform, one Python call chain
+per URL: measured 24-31 µs/URL on 50 k synthweb URLs (``build_url``'s
+urlparse + IDNA + urlunparse ~13 µs, ``quote_non_ascii`` ~5 µs, md5
+~1 µs), so a 64 k-row batch takes about 1.5-2 s.
 Usable both as a Ray Data ``map_batches(canonicalize_table)`` stage and
 driver-side on small follow batches.
 """

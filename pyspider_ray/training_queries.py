@@ -158,19 +158,35 @@ def q_lang_id(sf_dir):
     """Language-ID by stopword-marker voting: distinct-word hits per
     language marker set, max vote wins, alphabetically-first language
     wins ties, zero hits → 'unk'.  Deterministic and SQL-expressible,
-    so fully oracle-checked."""
-    import pandas as pd
-    def lid(b: pd.DataFrame) -> pd.DataFrame:
-        preds = []
-        for t in b["text"]:
-            ws = set(t.split())
-            best = max(sorted(_LANG_MARKERS),
-                       key=lambda l: (len(ws & _LANG_MARKERS[l]), ))
-            score = len(ws & _LANG_MARKERS[best])
-            preds.append(best if score else "unk")
-        return pd.DataFrame({"doc_id": b["doc_id"], "pred_lang": preds})
+    so fully oracle-checked.
+
+    Vectorized like ``_stopword_counts``, in Arrow kernels: split and
+    flatten the tokens once, map each to its marker index, mark the
+    distinct (row, marker) hits in a 0/1 matrix and count each
+    language's markers with one matrix product — no Python per
+    document."""
+    langs = sorted(_LANG_MARKERS)
+    markers = sorted(set().union(*_LANG_MARKERS.values()))
+    member = np.array([[w in _LANG_MARKERS[l] for l in langs]
+                       for w in markers], dtype=np.int64)
+
+    def lid(b: pa.Table) -> pa.Table:
+        toks = pc.utf8_split_whitespace(b["text"].combine_chunks())
+        code = pc.index_in(pc.list_flatten(toks),
+                           value_set=pa.array(markers)).to_numpy(
+                               zero_copy_only=False)
+        row = pc.list_parent_indices(toks).to_numpy()
+        hit = ~np.isnan(code)
+        present = np.zeros((len(b), len(markers)), dtype=np.int64)
+        present[row[hit], code[hit].astype(np.int64)] = 1
+        votes = present @ member
+        preds = np.where(votes.max(axis=1) > 0,
+                         np.array(langs, dtype=object)[votes.argmax(axis=1)],
+                         "unk")
+        return pa.table({"doc_id": b["doc_id"],
+                         "pred_lang": pa.array(preds, pa.string())})
     return (_read(sf_dir, "documents", ["doc_id", "text"])
-            .map_batches(lid, batch_format="pandas"))
+            .map_batches(lid, batch_format="pyarrow"))
 
 
 def _normalize_text(col):
@@ -822,10 +838,8 @@ def _cosine_partial_topk(b: pa.Table, query) -> pa.Table:
     one object-store ref; each DB batch emits its local top-k per query
     (partial), merged by the adaptive combine after — the scale
     pattern for 10^9-row ANN baselines."""
-    from ._malloc import prefault_arena
     q_ids, Q = _broadcast_get(query)
-    prefault_arena()   # idempotent per worker process: per-batch E
-    E = _embedding_matrix(b)   # matrices reuse the arena
+    E = _embedding_matrix(b)
     E /= np.linalg.norm(E, axis=1, keepdims=True)
     vec_ids = b["vec_id"].to_numpy(zero_copy_only=False)
     S = Q @ E.T                           # (n_q, batch)
@@ -2248,12 +2262,6 @@ def q_bpe_train(sf_dir):
         "weight": pa.array([m[3] for m in merges], pa.int64())})
 
 
-def _sum_by(key: str, col: str, out: str, t: pa.Table) -> pa.Table:
-    """Partition fn: per distinct ``key``, the sum of ``col`` as ``out``."""
-    g = t.group_by(key).aggregate([(col, "sum")])
-    return pa.table({key: g[key], out: g[f"{col}_sum"]})
-
-
 def q_doc_top_terms(sf_dir):
     """Per-document top-3 terms by term frequency (ties to the
     alphabetically-first word) with the GLOBAL document frequency
@@ -2270,6 +2278,7 @@ def q_doc_top_terms(sf_dir):
     ``neardup.attach_column`` — the same word keying the jaccard
     machinery uses; no broadcast, no driver materialization."""
     from .neardup import attach_column, partition_apply
+    from .queries import _group_sum
 
     def top3(b: pa.Table) -> pa.Table:
         ids, words, tfs, whs = [], [], [], []
@@ -2295,12 +2304,12 @@ def q_doc_top_terms(sf_dir):
             u, c = np.unique(np.concatenate(whs), return_counts=True)
             whs, cnt = u.astype(np.int64), c.astype(np.int64)
         return pa.table({"doc_id": pa.array(whs, pa.int64()),
-                         "df_p": pa.array(cnt, pa.int64())})
+                         "df": pa.array(cnt, pa.int64())})
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"]).materialize()
     dfs = partition_apply(
         docs.map_batches(df_partial, batch_format="pyarrow"), "doc_id",
-        functools.partial(_sum_by, "doc_id", "df_p", "df"),
+        functools.partial(_group_sum, ["doc_id"]),
         pa.schema([("doc_id", pa.int64()), ("df", pa.int64())]))
     top = docs.map_batches(top3, batch_format="pyarrow")
     out = attach_column(top, dfs, "df", "doc_a", "df")
@@ -6666,6 +6675,7 @@ def q_tfidf_search(sf_dir):
     import pandas as pd
 
     from .neardup import partition_apply
+    from .queries import _group_sum
 
     terms = list(_SEARCH_TERMS)
 
@@ -6686,7 +6696,7 @@ def q_tfidf_search(sf_dir):
     stats = partition_apply(
         _read(sf_dir, "documents", ["text"])
         .map_batches(df_partials, batch_format="pyarrow"), "word",
-        functools.partial(_sum_by, "word", "df", "df"),
+        functools.partial(_group_sum, ["word"]),
         pa.schema([("word", pa.string()), ("df", pa.int64())])).take_all()
     df_map = {r["word"]: int(r["df"]) for r in stats}
     n_docs = df_map.pop("__docs__", 0)

@@ -175,6 +175,22 @@ def test_many_partitions_equal_one_and_pandas(name, monkeypatch,
     pd.testing.assert_frame_equal(many, _norm(ref), check_dtype=False)
 
 
+@pytest.mark.usefixtures("ray_session")
+def test_exchange_tasks_run_tuned(exchange_partitions):
+    """Exchange reduce tasks run with the allocator tuning, which only
+    the package import applies: the task of every non-empty partition
+    reads ``_malloc._done`` as True."""
+    def tuned(t):
+        from pyspider_ray import _malloc
+        return pa.table({"tuned": [_malloc._done]})
+
+    out = neardup.partition_apply(_ds(KV), "k", tuned,
+                                  pa.schema([("tuned", pa.bool_())]))
+    flags = out.to_pandas()["tuned"].tolist()
+    assert min(exchange_partitions) > 1 and len(flags) > 1
+    assert all(flags)
+
+
 def test_partition_count_follows_bytes(monkeypatch):
     """P = ceil(bytes / _PARTITION_BYTES) clamped to [1, 64], no split
     task at P = 1, and at least P map groups (checked without Ray:
