@@ -1,15 +1,20 @@
 """pyspider_ray — a Ray-Data-native crawl frontier + fetch scheduler.
 
 A from-scratch re-expression of binux/pyspider's query & data-processing
-capabilities (reference at /root/reference, cited as ``file:line`` in
-docstrings) on top of ``ray.data.Dataset`` pipelines:
+capabilities (the reference is cited as ``file:line`` in docstrings) on
+Ray:
 
-- zero-copy Arrow ``map_batches`` stages for canonicalization, fetch
-  simulation, parsing and payload decode,
-- actor pools for the stateful pieces (sharded URL-seen frontier,
-  per-host politeness gate, processor UDF registry),
-- ``groupby`` / ``sort`` shuffles for the wide steps (dedup by urlhash,
-  ordered emit by ``(-priority, seq)``),
+- the crawl: sharded URL-seen frontier actors, a per-host politeness
+  gate and persistent data-plane worker actors driven by a
+  round-based coordinator; zero-copy Arrow batches for
+  canonicalization, fetch, parsing and payload decode;
+- the query layer (``queries``, ``training_queries``): ``ray.data``
+  pipelines whose Parquet reads are sized by their bytes
+  (``_io.read_table``), whose per-key steps all run on one sort-free
+  hash exchange (``neardup.partition_apply`` / ``group_apply`` /
+  ``hash_join``) and whose aggregates all run on its combiner
+  (``neardup.combine``); shared read-only state reaches plain map
+  tasks as one object-store ref;
 - partitioned Parquet (Lance when available) sinks with per-partition
   lineage for checkpoint/resume.
 

@@ -17,17 +17,40 @@ def rd():
 
 
 def read_table(sf_dir: str, table: str, columns=None):
-    """``read_parquet`` with a METADATA-FREE schema: the test files
-    carry pandas schema metadata (an unhashable dict) that otherwise
-    rides in on every block and defeats Ray Data's block-schema dedup
-    ("Failed to hash the schemas" per block).  One driver-side footer
-    read strips it; column pruning pushes down as usual."""
+    """``read_parquet`` of ``sf_dir/table.parquet`` sized by its bytes.
+
+    One driver-side footer read (``pq.read_metadata``) gives both:
+
+    - a METADATA-FREE schema: the test files carry pandas schema
+      metadata (an unhashable dict) that otherwise rides in on every
+      block and defeats Ray Data's block-schema dedup ("Failed to hash
+      the schemas" per block);
+    - the block count, by the exchange's own rule: the selected
+      columns' uncompressed bytes over ``neardup._PARTITION_BYTES``,
+      clamped to [1, ``_MAX_PARTITIONS``].  A small table is one block,
+      so the read and the maps after it fuse into one task.  Left to
+      Ray Data, a 634 KB, 40k-row ``events`` file split into 8 blocks
+      and read + map, materialized, took 170 ms against 75 ms as one
+      block (a plain Ray task doing the same work: 8 ms; 1-CPU host,
+      Ray at 4 logical CPUs, median of 7).
+
+    Column pruning pushes down as usual."""
     import pyarrow.parquet as pq
+
+    from . import neardup
     path = f"{sf_dir}/{table}.parquet"
-    schema = pq.read_schema(path).remove_metadata()
+    meta = pq.read_metadata(path)
+    schema = meta.schema.to_arrow_schema().remove_metadata()
     if columns:
         schema = pa.schema([schema.field(c) for c in columns])
-    return rd().read_parquet(path, columns=columns, schema=schema)
+    nbytes = sum(col.total_uncompressed_size
+                 for rg in map(meta.row_group, range(meta.num_row_groups))
+                 for col in map(rg.column, range(rg.num_columns))
+                 if col.path_in_schema.split(".")[0] in schema.names)
+    blocks = min(neardup._MAX_PARTITIONS,
+                 max(1, -(-nbytes // neardup._PARTITION_BYTES)))
+    return rd().read_parquet(path, columns=columns, schema=schema,
+                             override_num_blocks=blocks)
 
 
 _BROADCAST: dict = {}      # ref id -> value, oldest first

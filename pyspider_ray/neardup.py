@@ -33,9 +33,11 @@ processes them.  Two reasons, both measured at sf0.1:
 
 It is the package's one grouping shuffle: every per-key step of the
 query layer runs on ``partition_apply`` / ``group_apply`` (int or
-string keys) or on the two-sided ``_apply`` form of ``hash_join``; no
-module calls ``groupby().map_groups``, whose range sort costs seconds
-of orchestration even on a few hundred rows.
+string keys) or on the two-sided ``_apply`` form of ``hash_join``, and
+every aggregate on ``combine`` (an Arrow group-by per batch, then one
+per partition); no module calls ``groupby().map_groups`` or Ray
+Data's ``groupby().aggregate``, whose range sort costs seconds of
+orchestration even on a few hundred rows.
 
 Partitioning contract: every (band, key) bucket lands WHOLLY in one
 reduce partition (the hash is over the bucket key, never the doc), so
@@ -433,28 +435,59 @@ def group_apply(ds, key_col: str, fn, schema: pa.Schema):
                            schema)
 
 
-def _min_rows(key_col: str, val_col: str, t: pa.Table) -> pa.Table:
-    """Per distinct key, the minimum value — one lexsort +
-    adjacent-diff, no Python per-group loop."""
-    k = t[key_col].to_numpy().astype(np.int64)
-    v = t[val_col].to_numpy().astype(np.int64)
-    order = np.lexsort((v, k))
-    k, v = k[order], v[order]
-    first = np.ones(len(k), dtype=bool)
-    first[1:] = k[1:] != k[:-1]
-    return pa.table({key_col: pa.array(k[first]),
-                     val_col: pa.array(v[first])})
+# a partial row's fold: counts of rows add up, the rest fold as they are
+_FOLD = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
+
+
+def _group_by(keys: list, aggs: dict, raw: bool,
+              schema: pa.Schema | None, t: pa.Table) -> pa.Table:
+    """One Arrow hash group-by of ``t`` on ``keys``: the aggregate of
+    ``raw`` rows, or else the fold of partial rows.  Columns come back
+    as ``keys`` then ``aggs`` in order, cast to ``schema`` when one is
+    given."""
+    spec = [([], "count_all") if how == "count" and raw
+            else (col, how if raw else _FOLD[how])
+            for col, how in aggs.items()]
+    g = t.group_by(keys, use_threads=False).aggregate(spec)
+    cols = [g[k] for k in keys] + [
+        g["count_all" if not c else f"{c}_{how}"] for c, how in spec]
+    out = pa.table(cols, names=keys + list(aggs))
+    return out if schema is None else out.cast(schema)
+
+
+def combine(ds, keys: list, aggs: dict, schema: pa.Schema):
+    """Distributed GROUP BY ``keys`` with ``aggs`` ({column: "sum" |
+    "count" | "min" | "max"}; a "count" column counts rows and needs
+    no input column) — the query layer's one aggregate.  Each input
+    batch collapses to one partial row per key (Arrow's hash
+    group-by, no per-row Python), the hash exchange on ``keys[0]``
+    co-locates each key's partials and one group-by per partition
+    folds them: counts add, sums add exactly in int64 (never through
+    float64), min/max fold as themselves.  Returns the declared
+    ``schema`` (keys, then the aggregates), also for an empty input.
+
+    An input that is already materialized (an exchange's output)
+    skips the per-batch pass: its blocks go straight to the exchange,
+    whose reduce aggregates whole keys at once — a per-batch map
+    there would cost one more Ray Data execution for nothing."""
+    from ray.data.dataset import MaterializedDataset
+    raw = isinstance(ds, MaterializedDataset)
+    if not raw:
+        ds = ds.map_batches(
+            functools.partial(_group_by, keys, aggs, True, None),
+            batch_format="pyarrow")
+    return partition_apply(
+        ds, keys[0], functools.partial(_group_by, keys, aggs, raw, schema),
+        schema)
 
 
 def min_by_key(ds, key_col: str, val_col: str):
-    """Distributed groupby-min over (key, value) int64 rows via the
-    hash exchange (no sort-based groupby: hash partitioning moves the
-    rows without ordering them).  Returns a Dataset with one row per
+    """Distributed groupby-min over (key, value) int64 rows: the
+    ``combine`` aggregate.  Returns a Dataset with one row per
     distinct key.  Per-reduce memory is O(rows/P)."""
-    schema = pa.schema([(key_col, pa.int64()), (val_col, pa.int64())])
-    return partition_apply(ds, key_col,
-                           functools.partial(_min_rows, key_col, val_col),
-                           schema)
+    return combine(ds, [key_col], {val_col: "min"},
+                   pa.schema([(key_col, pa.int64()),
+                              (val_col, pa.int64())]))
 
 
 def _join_tables(left_on: str, right_on: str, how: str, suffix: str,

@@ -62,12 +62,20 @@ def _write_part(results: pa.Table, round_dir: str, part) -> None:
     the same file).  Image bytes are already zlib-compressed, so no
     column is recompressed, and the ``bytes`` column gets neither a
     dictionary attempt nor min/max statistics — both are full passes
-    over the payload that buy nothing for unique, opaque blobs."""
+    over the payload that buy nothing for unique, opaque blobs.
+
+    ``write_batch_size=1`` lets the writer check the page size after
+    every value: by default it fills a whole write batch first, so a
+    16-row part's ~550 KB payloads (about 9 MB) all went into one
+    growing page.  16-row ``page_scale=6`` parts on a 1-CPU host:
+    1.85 -> 0.58-1.06 ms per page (a raw file write of the payloads:
+    0.20), the values read back identical."""
     os.makedirs(round_dir, exist_ok=True)
     tmp = os.path.join(round_dir, f".part-{part}.tmp")
     small = [c for c in results.column_names if c != "bytes"]
     pq.write_table(results, tmp, compression="none",
-                   use_dictionary=small, write_statistics=small)
+                   use_dictionary=small, write_statistics=small,
+                   write_batch_size=1)
     os.rename(tmp, os.path.join(round_dir, f"part-{part}.parquet"))
 
 

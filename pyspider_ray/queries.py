@@ -7,16 +7,19 @@ Conventions:
 - computed columns carry the SAME names as the oracle SQL aliases;
 - outputs avoid raw float columns (money → cents int64, timestamps →
   epoch micros) so the driver's value-hash is stable across engines;
-- reads prune columns at the source; aggregations pre-aggregate inside
-  ``map_batches`` before the shuffle; small join sides are loaded
-  once into the object store and reach plain map tasks as an
-  ``ObjectRef`` (fetched once per worker process, never re-shipped
-  per batch).
+- reads prune columns at the source and are sized by their bytes
+  (``_io.read_table``: one block per 8 MB, so a small table is one
+  read task with its maps fused in);
+- every aggregate is ``neardup.combine``: an Arrow group-by inside
+  each batch, then one per partition of the hash exchange — no Ray
+  Data ``groupby().aggregate`` and no ``map_groups``;
+- small join sides are loaded once into the object store and reach
+  plain map tasks as an ``ObjectRef`` (fetched once per worker
+  process, never re-shipped per batch).
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 
@@ -28,6 +31,7 @@ import ray
 from ._io import broadcast_get as _broadcast_get
 from ._io import rd as _rd
 from ._io import read_table as _read_table
+from .neardup import combine
 
 
 def _read(sf_dir, table, columns=None):
@@ -44,37 +48,15 @@ def _round_c(x) -> np.ndarray:
     return (np.sign(a) * np.floor(np.abs(a) * 100.0 + 0.5)).astype(np.int64)
 
 
-def _group_sum(keys: list, t: pa.Table) -> pa.Table:
-    """Per distinct ``keys`` tuple, the sum of every other column."""
-    cols = [c for c in t.column_names if c not in keys]
-    g = t.group_by(keys).aggregate([(c, "sum") for c in cols])
-    return pa.table([g[k] for k in keys] + [g[f"{c}_sum"] for c in cols],
-                    names=keys + cols)
-
-
-def _sum_partials(ds, keys: list, schema: pa.Schema):
-    """Combiner aggregate: ``_group_sum`` inside each batch, then once
-    more per hash partition routed by ``keys[0]``, returning the
-    declared ``schema`` (keys, then the summed int64 columns).  For
-    few-key aggregates Ray's sort-based ``groupby().aggregate`` emits
-    schema-less empty blocks when its partitions outnumber the keys."""
-    from .neardup import partition_apply
-    part = functools.partial(_group_sum, keys)
-    return partition_apply(ds.map_batches(part, batch_format="pyarrow"),
-                           keys[0], part, schema)
-
-
 # ---------------------------------------------------------------------------
 # frontier / scheduler operators (SURVEY §2.1, §2.5, §2.6)
 # ---------------------------------------------------------------------------
 
 def q_status_count(sf_dir):
     """A1 — per-status GROUP BY count (sqlite/taskdb.py:85-98)."""
-    def ones(b: pa.Table) -> pa.Table:
-        return b.append_column("n", pa.array(np.ones(len(b), np.int64)))
-    return _sum_partials(
-        _read(sf_dir, "orders", ["o_orderstatus"])
-        .map_batches(ones, batch_format="pyarrow"), ["o_orderstatus"],
+    return combine(
+        _read(sf_dir, "orders", ["o_orderstatus"]), ["o_orderstatus"],
+        {"n": "count"},
         pa.schema([("o_orderstatus", pa.string()), ("n", pa.int64())]))
 
 
@@ -114,17 +96,17 @@ def q_task_verify(sf_dir):
 def q_merge_on_put(sf_dir):
     """T2 — merge-on-put aggregation shape (task_queue.py:83-95):
     priority=max, exetime=min, grouped by key."""
-    from ray.data.aggregate import Max, Min
     def prep(b: pa.Table) -> pa.Table:
         cents = pa.array(_round_c(b["value"].to_numpy()))
         us = b["ts"].cast(pa.int64())
-        return pa.table({"user_id": b["user_id"], "value_cents": cents,
-                         "ts_us": us})
-    return (_read(sf_dir, "events", ["user_id", "value", "ts"])
-            .map_batches(prep, batch_format="pyarrow")
-            .groupby("user_id")
-            .aggregate(Max("value_cents", alias_name="max_value_cents"),
-                       Min("ts_us", alias_name="min_ts_us")))
+        return pa.table({"user_id": b["user_id"], "max_value_cents": cents,
+                         "min_ts_us": us})
+    return combine(
+        _read(sf_dir, "events", ["user_id", "value", "ts"])
+        .map_batches(prep, batch_format="pyarrow"), ["user_id"],
+        {"max_value_cents": "max", "min_ts_us": "min"},
+        pa.schema([("user_id", pa.int64()), ("max_value_cents", pa.int64()),
+                   ("min_ts_us", pa.int64())]))
 
 
 def q_priority_topk(sf_dir):
@@ -152,10 +134,11 @@ def q_time_order(sf_dir):
 def q_select_quota(sf_dir):
     """O4/A2 — weight-proportional select quotas clamped to
     [limit/10, limit/3] (scheduler.py:500-522), integer arithmetic."""
-    from ray.data.aggregate import Count
-    counts = (_read(sf_dir, "customer", ["c_nationkey"])
-              .groupby("c_nationkey").aggregate(Count(alias_name="w"))
-              .to_pandas())
+    counts = combine(
+        _read(sf_dir, "customer", ["c_nationkey"]), ["c_nationkey"],
+        {"w": "count"},
+        pa.schema([("c_nationkey", pa.int64()), ("w", pa.int64())])
+    ).to_pandas()
     total = int(counts["w"].sum())
     w = counts["w"].astype("int64")
     quota = (w * 1000) // max(total, 1)
@@ -175,11 +158,11 @@ def q_retry_ladder(sf_dir):
         delay = np.array([ladder.get(int(r), 86400) for r in retried],
                          dtype=np.int64)
         return pa.table({"retried": pa.array(retried.astype(np.int64)),
-                         "delay": pa.array(delay),
-                         "n": pa.array(np.ones(len(delay), np.int64))})
-    return _sum_partials(
+                         "delay": pa.array(delay)})
+    return combine(
         _read(sf_dir, "lineitem", ["l_linenumber"])
         .map_batches(prep, batch_format="pyarrow"), ["retried", "delay"],
+        {"n": "count"},
         pa.schema([("retried", pa.int64()), ("delay", pa.int64()),
                    ("n", pa.int64())]))
 
@@ -255,7 +238,7 @@ def _join_customer(b: pa.Table, side) -> pa.Table:
     nk = np.where(hit, vals[idx], -1)
     cents = _round_c(b["o_totalprice"].to_numpy())
     out = pa.table({"c_nationkey": pa.array(nk.astype(np.int64)),
-                    "price_cents": pa.array(cents)})
+                    "revenue_cents": pa.array(cents)})
     return out.filter(pa.array(hit))
 
 
@@ -263,13 +246,13 @@ def q_hash_join_revenue(sf_dir):
     """J1/J6 — fact ⋈ broadcast dim + grouped rollup; the small side
     rides one object-store ref into plain map tasks (fetched once per
     worker process, never re-shipped per batch)."""
-    from ray.data.aggregate import Count, Sum
-    return (_read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-            .map_batches(_join_customer, batch_format="pyarrow",
-                         fn_kwargs={"side": _customer_side.remote(sf_dir)})
-            .groupby("c_nationkey")
-            .aggregate(Count(alias_name="n_orders"),
-                       Sum("price_cents", alias_name="revenue_cents")))
+    return combine(
+        _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
+        .map_batches(_join_customer, batch_format="pyarrow",
+                     fn_kwargs={"side": _customer_side.remote(sf_dir)}),
+        ["c_nationkey"], {"n_orders": "count", "revenue_cents": "sum"},
+        pa.schema([("c_nationkey", pa.int64()), ("n_orders", pa.int64()),
+                   ("revenue_cents", pa.int64())]))
 
 
 def _membership_filter(probe_ds, probe_col: str, keys_ds, key_col: str,
@@ -322,20 +305,19 @@ def q_pricing_summary(sf_dir):
             "sum_qty": c100("l_quantity"),
             "sum_base_c": cents,
             "sum_disc_c4": cents * (100 - d),
-            "sum_charge_c6": cents * (100 - d) * (100 + t),
-            "n_rows": np.ones(len(cents), np.int64)})
+            "sum_charge_c6": cents * (100 - d) * (100 + t)})
 
-    return _sum_partials(
+    sums = ("sum_qty", "sum_base_c", "sum_disc_c4", "sum_charge_c6")
+    return combine(
         _read(sf_dir, "lineitem",
               ["l_returnflag", "l_linestatus", "l_quantity",
                "l_extendedprice", "l_discount", "l_tax", "l_shipdate"])
         .map_batches(rows, batch_format="pyarrow"),
         ["l_returnflag", "l_linestatus"],
+        {**dict.fromkeys(sums, "sum"), "n_rows": "count"},
         pa.schema([("l_returnflag", pa.string()),
                    ("l_linestatus", pa.string())]
-                  + [(c, pa.int64()) for c in
-                     ("sum_qty", "sum_base_c", "sum_disc_c4",
-                      "sum_charge_c6", "n_rows")]))
+                  + [(c, pa.int64()) for c in sums + ("n_rows",)]))
 
 
 def q_order_priority_count(sf_dir):
@@ -348,8 +330,6 @@ def q_order_priority_count(sf_dir):
     per-batch max-shipdate combining on the EXISTS side, hash-routed
     by `partition_apply` (no sort shuffle), then a priorities-bounded
     groupby — both fact scans prune to 2-3 columns at the read."""
-    from ray.data.aggregate import Sum
-
     from .neardup import partition_apply
 
     lo = np.datetime64("1996-01-01")
@@ -401,7 +381,7 @@ def q_order_priority_count(sf_dir):
                .reset_index(name="n"))
         return pa.table({
             "o_orderpriority": pa.array(cnt["prio"], pa.string()),
-            "n": pa.array(cnt["n"].to_numpy(np.int64))})
+            "n_orders": pa.array(cnt["n"].to_numpy(np.int64))})
 
     tagged = (_read(sf_dir, "orders",
                     ["o_orderkey", "o_orderdate", "o_orderpriority"])
@@ -409,11 +389,10 @@ def q_order_priority_count(sf_dir):
               .union(_read(sf_dir, "lineitem",
                            ["l_orderkey", "l_shipdate"])
                      .map_batches(late_side, batch_format="pyarrow")))
-    cnt_schema = pa.schema([("o_orderpriority", pa.string()),
-                            ("n", pa.int64())])
-    return (partition_apply(tagged, "k", exists_count, cnt_schema)
-            .groupby("o_orderpriority")
-            .aggregate(Sum("n", alias_name="n_orders")))
+    schema = pa.schema([("o_orderpriority", pa.string()),
+                        ("n_orders", pa.int64())])
+    return combine(partition_apply(tagged, "k", exists_count, schema),
+                   ["o_orderpriority"], {"n_orders": "sum"}, schema)
 
 
 def q_local_supplier_volume(sf_dir):
@@ -432,8 +411,6 @@ def q_local_supplier_volume(sf_dir):
     (supplier nation resolved AT THE SCAN via the broadcast map, then
     per-batch pre-summed per (orderkey, nation)) on orderkey → the
     same-nation filter and a nations-bounded rollup."""
-    from ray.data.aggregate import Sum
-
     from .neardup import partition_apply
 
     lo = np.datetime64("1996-01-01")
@@ -545,13 +522,12 @@ def q_local_supplier_volume(sf_dir):
             "n_name": pa.array([n_name[int(x)]
                                 for x in b["nat"].to_pylist()],
                                pa.string()),
-            "rev": b["rev"]})
+            "revenue_c4": b["rev"]})
 
-    return (partials.groupby("nat").aggregate(Sum("rev",
-                                                  alias_name="rev"))
-            .map_batches(name_map, batch_format="pyarrow")
-            .groupby("n_name")
-            .aggregate(Sum("rev", alias_name="revenue_c4")))
+    return combine(
+        partials.map_batches(name_map, batch_format="pyarrow"),
+        ["n_name"], {"revenue_c4": "sum"},
+        pa.schema([("n_name", pa.string()), ("revenue_c4", pa.int64())]))
 
 
 _Q3_CUTOFF = np.datetime64("1998-06-01")
@@ -681,21 +657,16 @@ def q_semi_join(sf_dir):
 def q_windowed_counter(sf_dir):
     """A3 — 5-minute tumbling window counters, pre-aggregated per batch
     before the (tiny) final shuffle."""
-    from ray.data.aggregate import Sum
-    def partial(b: pa.Table) -> pa.Table:
+    def prep(b: pa.Table) -> pa.Table:
         us = b["ts"].cast(pa.int64()).to_numpy()
-        win = us // (300 * 1_000_000)
-        cents = _round_c(b["value"].to_numpy())
-        import pandas as pd
-        g = pd.DataFrame({"win": win, "n": 1, "value_cents": cents}) \
-            .groupby("win", as_index=False).sum()
-        return pa.Table.from_pandas(g, preserve_index=False) \
-            .replace_schema_metadata(None)
-    return (_read(sf_dir, "events", ["ts", "value"])
-            .map_batches(partial, batch_format="pyarrow")
-            .groupby("win")
-            .aggregate(Sum("n", alias_name="n"),
-                       Sum("value_cents", alias_name="value_cents")))
+        return pa.table({"win": pa.array(us // (300 * 1_000_000)),
+                         "value_cents": _round_c(b["value"].to_numpy())})
+    return combine(
+        _read(sf_dir, "events", ["ts", "value"])
+        .map_batches(prep, batch_format="pyarrow"), ["win"],
+        {"n": "count", "value_cents": "sum"},
+        pa.schema([("win", pa.int64()), ("n", pa.int64()),
+                   ("value_cents", pa.int64())]))
 
 
 def q_common_fields(sf_dir):
@@ -887,23 +858,16 @@ def q_sliding_window(sf_dir):
     minute — each event fans out to its 5 covering windows inside
     map_batches (combiner-style partial counts), then one small
     groupby sums partials."""
-    from ray.data.aggregate import Sum
-
     def fanout(b: pa.Table) -> pa.Table:
-        import pandas as pd
         mins = b["ts"].cast(pa.int64()).to_numpy() // 60_000_000
         wins = (mins[:, None] - np.arange(5)[None, :]).ravel()
-        g = pd.DataFrame({"win_start_min": wins, "n": 1}) \
-            .groupby("win_start_min", as_index=False).sum()
-        # drop the pandas schema metadata (a dict) — Ray Data's block
-        # schema dedup can't hash it and logs a warning per block
-        return pa.Table.from_pandas(g, preserve_index=False) \
-            .replace_schema_metadata(None)
+        return pa.table({"win_start_min": pa.array(wins)})
 
-    return (_read(sf_dir, "events", ["ts"])
-            .map_batches(fanout, batch_format="pyarrow")
-            .groupby("win_start_min")
-            .aggregate(Sum("n", alias_name="n")))
+    return combine(
+        _read(sf_dir, "events", ["ts"])
+        .map_batches(fanout, batch_format="pyarrow"), ["win_start_min"],
+        {"n": "count"},
+        pa.schema([("win_start_min", pa.int64()), ("n", pa.int64())]))
 
 
 def q_session_windows(sf_dir):
@@ -991,8 +955,6 @@ def q_funnel_stages(sf_dir):
     a 4-row-per-partition final aggregate.  No global sort, no
     driver-side event materialization; per-user state is bounded by
     that user's funnel-type events."""
-    from ray.data.aggregate import Sum
-
     from .neardup import partition_apply
 
     def prep(b: pa.Table) -> pa.Table:
@@ -1041,8 +1003,8 @@ def q_funnel_stages(sf_dir):
         _read(sf_dir, "events", ["user_id", "event_type", "ts"])
         .map_batches(prep, batch_format="pyarrow"),
         "user_id", fold, schema)
-    return (partials.groupby(["stage", "event_type"])
-            .aggregate(Sum("n_users", alias_name="n_users")))
+    return combine(partials, ["stage", "event_type"], {"n_users": "sum"},
+                   schema)
 
 
 _DAY_US = 86_400_000_000
@@ -1065,7 +1027,6 @@ def q_user_retention_cohorts(sf_dir):
     distinct-user counts can sum across partitions because a user
     lives in exactly one."""
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     from .neardup import partition_apply
 
@@ -1118,8 +1079,8 @@ def q_user_retention_cohorts(sf_dir):
         _read(sf_dir, "events", ["user_id", "event_type", "ts"])
         .map_batches(prep, batch_format="pyarrow"),
         "user_id", fold, schema)
-    return (partials.groupby(["cohort_day", "offset_days"])
-            .aggregate(Sum("n_users", alias_name="n_users")))
+    return combine(partials, ["cohort_day", "offset_days"],
+                   {"n_users": "sum"}, schema)
 
 
 def q_window_p95_value(sf_dir):
@@ -1228,6 +1189,7 @@ def q_status_priority_pivot(sf_dir):
     partials column-wise per status.  No row-level data ever pivots
     post-shuffle."""
     K = len(_PIVOT_PRIOS)
+    counts = [f"n_p{j + 1}" for j in range(K)] + ["n_total"]
 
     def crosstab(b: pa.Table) -> pa.Table:
         st_ = b["o_orderstatus"].combine_chunks().dictionary_encode()
@@ -1250,12 +1212,12 @@ def q_status_priority_pivot(sf_dir):
             np.bincount(sc, minlength=n_st).astype(np.int64))
         return pa.table(cols)
 
-    return _sum_partials(
+    return combine(
         _read(sf_dir, "orders", ["o_orderstatus", "o_orderpriority"])
         .map_batches(crosstab, batch_format="pyarrow"), ["o_orderstatus"],
+        dict.fromkeys(counts, "sum"),
         pa.schema([("o_orderstatus", pa.string())]
-                  + [(f"n_p{j + 1}", pa.int64()) for j in range(K)]
-                  + [("n_total", pa.int64())]))
+                  + [(c, pa.int64()) for c in counts]))
 
 
 def q_customer_running_total(sf_dir):
@@ -1334,30 +1296,18 @@ def q_value_outliers_mad(sf_dir):
     sorts the corpus; group size never matters."""
     import pandas as pd
 
-    def hist_partial(b: pa.Table) -> pa.Table:
-        et = np.asarray(b["event_type"].to_pylist(), dtype=object)
-        v = _round_c(b["value"].to_numpy())
-        g = (pd.DataFrame({"event_type": et, "v": v, "n": 1})
-             .groupby(["event_type", "v"], as_index=False)["n"].sum())
-        return pa.table({
-            "event_type": pa.array(g["event_type"], pa.string()),
-            "v": pa.array(g["v"].to_numpy(np.int64)),
-            "n": pa.array(g["n"].to_numpy(np.int64))})
+    def cents(b: pa.Table) -> pa.Table:
+        return pa.table({"v": _round_c(b["value"].to_numpy()),
+                         "event_type": b["event_type"]})
 
-    from .neardup import partition_apply
-
-    def hist_fold(part: pa.Table) -> pa.Table:
-        g = (part.to_pandas()
-             .groupby(["event_type", "v"], as_index=False)["n"].sum())
-        return pa.Table.from_pandas(g, preserve_index=False) \
-            .replace_schema_metadata(None)
-
-    hist_schema = pa.schema([("event_type", pa.string()),
-                             ("v", pa.int64()), ("n", pa.int64())])
-    hist = partition_apply(
+    # keyed on the value first: the exchange routes by it, not by the
+    # 5 event types
+    hist = combine(
         _read(sf_dir, "events", ["event_type", "value"])
-        .map_batches(hist_partial, batch_format="pyarrow"),
-        "v", hist_fold, hist_schema).take_all()   # O(types · distinct cents)
+        .map_batches(cents, batch_format="pyarrow"),
+        ["v", "event_type"], {"n": "count"},
+        pa.schema([("v", pa.int64()), ("event_type", pa.string()),
+                   ("n", pa.int64())])).take_all()   # O(types · cents)
 
     stats: dict[str, tuple[int, int]] = {}
     df = pd.DataFrame(hist)
@@ -1478,35 +1428,19 @@ def q_customer_order_activity(sf_dir):
     Scale shape: per-batch combiner → one hash exchange per side →
     per-partition vectorized merge; no broadcast (customer scales
     with SF), no sort."""
-    import pandas as pd
-    from ray.data.aggregate import Sum
+    from .neardup import hash_join
 
-    from .neardup import hash_join, partition_apply
-
-    def partial(b: pa.Table) -> pa.Table:
-        k = b["o_custkey"].to_numpy().astype(np.int64)
-        cents = _round_c(b["o_totalprice"].to_numpy())
-        g = (pd.DataFrame({"k": k, "c": cents})
-             .groupby("k", sort=False)["c"].agg(["sum", "size"])
-             .reset_index())
+    def prep(b: pa.Table) -> pa.Table:
         return pa.table({
-            "k": pa.array(g["k"].to_numpy(np.int64)),
-            "rev": pa.array(g["sum"].to_numpy(np.int64)),
-            "cnt": pa.array(g["size"].to_numpy(np.int64))})
+            "k": b["o_custkey"].cast(pa.int64()),
+            "rev": _round_c(b["o_totalprice"].to_numpy())})
 
-    def fold(part: pa.Table) -> pa.Table:
-        import pandas as pd
-        df = (part.to_pandas().groupby("k", as_index=False)
-              .agg(rev=("rev", "sum"), cnt=("cnt", "sum")))
-        return pa.Table.from_pandas(df, preserve_index=False) \
-            .replace_schema_metadata(None)
-
-    per_cust_schema = pa.schema([("k", pa.int64()), ("rev", pa.int64()),
-                                 ("cnt", pa.int64())])
-    per_cust = partition_apply(
+    per_cust = combine(
         _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-        .map_batches(partial, batch_format="pyarrow"),
-        "k", fold, per_cust_schema)
+        .map_batches(prep, batch_format="pyarrow"),
+        ["k"], {"rev": "sum", "cnt": "count"},
+        pa.schema([("k", pa.int64()), ("rev", pa.int64()),
+                   ("cnt", pa.int64())]))
 
     joined = hash_join(
         _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]),
@@ -1550,8 +1484,6 @@ def q_event_transition_matrix(sf_dir):
     lexsort and counts transitions with one vectorized bincount over
     (prev·K + next) codes (adjacent pairs within same-user runs only);
     per-partition K×K partials ride the final tiny aggregate."""
-    from ray.data.aggregate import Sum
-
     from .neardup import partition_apply
 
     types = ("click", "error", "purchase", "signup", "view")
@@ -1592,8 +1524,8 @@ def q_event_transition_matrix(sf_dir):
               ["user_id", "event_type", "ts", "event_id"])
         .map_batches(prep, batch_format="pyarrow"),
         "user_id", fold, schema)
-    return (partials.groupby(["prev_type", "next_type"])
-            .aggregate(Sum("n", alias_name="n")))
+    return combine(partials, ["prev_type", "next_type"], {"n": "sum"},
+                   schema)
 
 
 _Q10_LO = np.datetime64("1996-01-01")

@@ -47,6 +47,7 @@ _JACCARD_TAU_NUM, _JACCARD_TAU_DEN = 9, 10   # tau = 0.9, integer compare
 from ._io import broadcast_get as _broadcast_get
 from ._io import rd as _rd
 from ._io import read_table as _read
+from .neardup import combine
 
 
 _WORD_HASH_CACHE: dict[str, int] = {}
@@ -327,8 +328,6 @@ def q_dedup_counts(sf_dir):
 def q_wordset_dup_groups(sf_dir):
     """Near-dup at J=1.0: identical distinct-word sets, grouped by a
     canonical set fingerprint."""
-    from ray.data.aggregate import Count, Min
-
     def fp(b: pa.Table) -> pa.Table:
         import pandas as pd
         # vectorized canonical set key: explode tokens, dedup (row,
@@ -342,13 +341,14 @@ def q_wordset_dup_groups(sf_dir):
         keys = pairs.groupby("i", sort=True)["w"].agg(" ".join) \
             .reindex(range(len(texts)), fill_value="")
         fps = [hashlib.md5(k.encode()).hexdigest() for k in keys]
-        return pa.table({"doc_id": b["doc_id"],
+        return pa.table({"rep": b["doc_id"],
                          "set_fp": pa.array(fps, pa.string())})
-    return (_read(sf_dir, "documents", ["doc_id", "text"])
-            .map_batches(fp, batch_format="pyarrow")
-            .groupby("set_fp")
-            .aggregate(Min("doc_id", alias_name="rep"),
-                       Count(alias_name="n")))
+    return combine(
+        _read(sf_dir, "documents", ["doc_id", "text"])
+        .map_batches(fp, batch_format="pyarrow"), ["set_fp"],
+        {"rep": "min", "n": "count"},
+        pa.schema([("set_fp", pa.string()), ("rep", pa.int64()),
+                   ("n", pa.int64())]))
 
 
 def _SignatureStage(b: pa.Table) -> pa.Table:
@@ -1973,15 +1973,11 @@ def q_dedup_keep_best(sf_dir):
                    ("n_chars", pa.int64())]))
 
 
-def q_vocab_topk(sf_dir):
-    """Corpus vocabulary top-k: the 100 most frequent words by TOTAL
-    occurrence count (the stats pass behind tokenizer training /
-    stopword induction).  Combiner pattern: per-batch value_counts
-    shrinks each batch to its distinct words (Zipf: vocabulary ≪
-    tokens), the groupby-sum moves only those partials, and the final
-    sort ranks the already-tiny vocabulary table."""
+def _word_counts(docs):
+    """(word, n) whitespace-token counts over a Dataset's ``text``
+    column: per-batch ``value_counts``, summed per word by the
+    ``combine`` aggregate."""
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     def counts(b: pd.DataFrame) -> pd.DataFrame:
         vc = (b["text"].str.strip().str.split(r"\s+")
@@ -1989,9 +1985,19 @@ def q_vocab_topk(sf_dir):
         return pd.DataFrame({"word": vc.index.astype(str),
                              "n": vc.values.astype("int64")})
 
-    return (_read(sf_dir, "documents", ["text"])
-            .map_batches(counts, batch_format="pandas")
-            .groupby("word").aggregate(Sum("n", alias_name="n"))
+    return combine(docs.map_batches(counts, batch_format="pandas"),
+                   ["word"], {"n": "sum"},
+                   pa.schema([("word", pa.string()), ("n", pa.int64())]))
+
+
+def q_vocab_topk(sf_dir):
+    """Corpus vocabulary top-k: the 100 most frequent words by TOTAL
+    occurrence count (the stats pass behind tokenizer training /
+    stopword induction).  Combiner pattern: per-batch value_counts
+    shrinks each batch to its distinct words (Zipf: vocabulary ≪
+    tokens), the groupby-sum moves only those partials, and the final
+    sort ranks the already-tiny vocabulary table."""
+    return (_word_counts(_read(sf_dir, "documents", ["text"]))
             .sort(["n", "word"], descending=[True, False])
             .limit(100))
 
@@ -2048,8 +2054,6 @@ def _bpe_merges_distributed(freq_ds, k: int) -> list[tuple]:
     char); the winning merge broadcasts into a rewrite pass and the
     table re-materializes for the next round.  The corpus itself is
     read exactly once, before round 0."""
-    from ray.data.aggregate import Sum
-
     def pair_counts(b: pa.Table) -> pa.Table:
         pc: dict[str, int] = {}
         for syms, n in zip(b["syms"].to_pylist(), b["n"].to_numpy()):
@@ -2077,8 +2081,9 @@ def _bpe_merges_distributed(freq_ds, k: int) -> list[tuple]:
     out = []
     ds = freq_ds
     for rank in range(k):
-        top = (ds.map_batches(pair_counts, batch_format="pyarrow")
-               .groupby("pair").aggregate(Sum("w", alias_name="w"))
+        top = (combine(ds.map_batches(pair_counts, batch_format="pyarrow"),
+                       ["pair"], {"w": "sum"},
+                       pa.schema([("pair", pa.string()), ("w", pa.int64())]))
                .sort(["w", "pair"], descending=[True, False])
                .limit(1).take_all())
         if not top:
@@ -2096,21 +2101,9 @@ def _bpe_train_merges(sf_dir) -> list[tuple]:
     corpus-sized word-frequency groupby-sum, then the merge loop over
     the vocabulary-sized table (driver under `_BPE_MAX_VOCAB`, the
     distributed rewrite rounds past it)."""
-    import pandas as pd
-
-    from ray.data.aggregate import Sum
-
-    def counts(b: pd.DataFrame) -> pd.DataFrame:
-        vc = (b["text"].str.strip().str.split(r"\s+")
-              .explode().value_counts())
-        return pd.DataFrame({"word": vc.index.astype(str),
-                             "n": vc.values.astype("int64")})
-
-    freq_ds = (_read(sf_dir, "documents", ["text"])
-               .map_batches(counts, batch_format="pandas")
-               .groupby("word").aggregate(Sum("n", alias_name="n"))
-               .materialize())     # vocab-sized; count() + the path
-    #                                taken both read it, never recompute
+    # vocab-sized and materialized: count() and the path taken both
+    # read it, never recompute
+    freq_ds = _word_counts(_read(sf_dir, "documents", ["text"]))
 
     if freq_ds.count() <= _BPE_MAX_VOCAB:
         freq = {r["word"]: int(r["n"])
@@ -2211,17 +2204,7 @@ def q_bpe_token_counts(sf_dir):
     TABLE (vocabulary-sized, not corpus-sized — each distinct word is
     encoded once, weighted by its count), one vocabulary-sized
     groupby-sum."""
-    import pandas as pd
-
-    from ray.data.aggregate import Sum
-
     merges = _bpe_train_merges(sf_dir)
-
-    def word_freq(b: pd.DataFrame) -> pd.DataFrame:
-        vc = (b["text"].str.strip().str.split(r"\s+")
-              .explode().value_counts())
-        return pd.DataFrame({"word": vc.index.astype(str),
-                             "n": vc.values.astype("int64")})
 
     def encode_words(b: pa.Table) -> pa.Table:
         toks: dict[str, int] = {}
@@ -2231,11 +2214,11 @@ def q_bpe_token_counts(sf_dir):
         return pa.table({"token": pa.array(list(toks), pa.string()),
                          "n": pa.array(list(toks.values()), pa.int64())})
 
-    return (_read(sf_dir, "documents", ["text"])
-            .map_batches(word_freq, batch_format="pandas")
-            .groupby("word").aggregate(Sum("n", alias_name="n"))
-            .map_batches(encode_words, batch_format="pyarrow")
-            .groupby("token").aggregate(Sum("n", alias_name="n")))
+    return combine(
+        _word_counts(_read(sf_dir, "documents", ["text"]))
+        .map_batches(encode_words, batch_format="pyarrow"),
+        ["token"], {"n": "sum"},
+        pa.schema([("token", pa.string()), ("n", pa.int64())]))
 
 
 def q_bpe_train(sf_dir):
@@ -2277,8 +2260,7 @@ def q_doc_top_terms(sf_dir):
     partitioned hash join on the md5-64 word key through
     ``neardup.attach_column`` — the same word keying the jaccard
     machinery uses; no broadcast, no driver materialization."""
-    from .neardup import attach_column, partition_apply
-    from .queries import _group_sum
+    from .neardup import attach_column
 
     def top3(b: pa.Table) -> pa.Table:
         ids, words, tfs, whs = [], [], [], []
@@ -2307,9 +2289,9 @@ def q_doc_top_terms(sf_dir):
                          "df": pa.array(cnt, pa.int64())})
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"]).materialize()
-    dfs = partition_apply(
-        docs.map_batches(df_partial, batch_format="pyarrow"), "doc_id",
-        functools.partial(_group_sum, ["doc_id"]),
+    dfs = combine(
+        docs.map_batches(df_partial, batch_format="pyarrow"), ["doc_id"],
+        {"df": "sum"},
         pa.schema([("doc_id", pa.int64()), ("df", pa.int64())]))
     top = docs.map_batches(top3, batch_format="pyarrow")
     out = attach_column(top, dfs, "df", "doc_a", "df")
@@ -2463,8 +2445,6 @@ def _decontaminate_shuffled(docs):
     partition emits, with one vectorized np.isin, the corpus rows of
     every gram an eval row also has, and a per-doc count folds the
     hits — shuffled volume O(grams), driver holds nothing."""
-    from ray.data.aggregate import Sum
-
     def tagged(b: pa.Table) -> pa.Table:
         hs, ids = [], []
         for doc_id, t in zip(b["doc_id"].to_numpy(),
@@ -2484,18 +2464,17 @@ def _decontaminate_shuffled(docs):
     def hits(t: pa.Table) -> pa.Table:
         # every non-holdout occurrence of a gram the holdout also has
         h, ids = t["h"].to_numpy(), t["doc_id"].to_numpy()
-        out = ids[np.isin(h, h[ids == -1]) & (ids != -1)]
-        return pa.table({"doc_id": pa.array(out),
-                         "one": pa.array(np.ones(len(out), np.int64))})
+        return pa.table({"doc_id": pa.array(
+            ids[np.isin(h, h[ids == -1]) & (ids != -1)])})
 
     from .neardup import partition_apply
-    return (partition_apply(docs.map_batches(tagged,
-                                             batch_format="pyarrow"),
-                            "h", hits,
-                            pa.schema([("doc_id", pa.int64()),
-                                       ("one", pa.int64())]))
-            .groupby("doc_id")
-            .aggregate(Sum("one", alias_name="n_hits")))
+    return combine(partition_apply(docs.map_batches(tagged,
+                                                    batch_format="pyarrow"),
+                                   "h", hits,
+                                   pa.schema([("doc_id", pa.int64())])),
+                   ["doc_id"], {"n_hits": "count"},
+                   pa.schema([("doc_id", pa.int64()),
+                              ("n_hits", pa.int64())]))
 
 
 def _count_contaminated(b: pa.Table, bench) -> pa.Table:
@@ -2699,23 +2678,19 @@ def _curate_oracle() -> str:
 def q_token_len_hist(sf_dir):
     """Token-length histogram (bucket width 10): the length-
     distribution pass behind sequence-length curricula and packing
-    efficiency estimates.  Per-batch bincount partials (one tiny
-    (bucket, n) table per batch) feed a vocabulary-sized groupby —
+    efficiency estimates.  Per-batch count partials (one tiny
+    (bucket, n) table per batch) feed a buckets-bounded aggregate —
     the shuffled volume is O(distinct buckets), not O(docs)."""
-    from ray.data.aggregate import Sum
-
-    def partial(b: pa.Table) -> pa.Table:
+    def bucket(b: pa.Table) -> pa.Table:
         n = np.array([len(t.split()) for t in b["text"].to_pylist()],
                      dtype=np.int64)
-        bucket = n // 10 * 10
-        u, c = np.unique(bucket, return_counts=True)
-        return pa.table({"bucket": pa.array(u, pa.int64()),
-                         "n_docs": pa.array(c.astype(np.int64))})
+        return pa.table({"bucket": pa.array(n // 10 * 10)})
 
-    return (_read(sf_dir, "documents", ["text"])
-            .map_batches(partial, batch_format="pyarrow")
-            .groupby("bucket").aggregate(Sum("n_docs",
-                                             alias_name="n_docs")))
+    return combine(_read(sf_dir, "documents", ["text"])
+                   .map_batches(bucket, batch_format="pyarrow"),
+                   ["bucket"], {"n_docs": "count"},
+                   pa.schema([("bucket", pa.int64()),
+                              ("n_docs", pa.int64())]))
 
 
 def q_gopher_repetition(sf_dir):
@@ -2773,18 +2748,6 @@ def q_source_len_quantiles(sf_dir):
     histogram.  Quantile definition: smallest v with
     count(x <= v) * den >= num * n — matched exactly by the oracle's
     integer-arithmetic window form."""
-    from ray.data.aggregate import Sum
-
-    def partial(b: pa.Table) -> pa.Table:
-        import pandas as pd
-        df = pd.DataFrame({"source": b["source"].to_pandas(),
-                           "n_chars": b["n_chars"].to_pandas()})
-        g = (df.groupby(["source", "n_chars"], sort=False)
-             .size().reset_index(name="c"))
-        return pa.table({"source": pa.array(g["source"].astype(str)),
-                         "n_chars": pa.array(g["n_chars"].astype("int64")),
-                         "c": pa.array(g["c"].astype("int64"))})
-
     def quantiles(g: pa.Table) -> pa.Table:
         v = g["n_chars"].to_numpy()
         c = g["c"].to_numpy()
@@ -2801,12 +2764,11 @@ def q_source_len_quantiles(sf_dir):
     from .neardup import group_apply
     schema = pa.schema([("source", pa.string())] +
                        [(f"p{num}", pa.int64()) for num, _ in _QUANTILES])
-    return group_apply(
-        _read(sf_dir, "documents", ["source", "n_chars"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["source", "n_chars"])
-        .aggregate(Sum("c", alias_name="c")),
-        "source", quantiles, schema)
+    hist = combine(_read(sf_dir, "documents", ["source", "n_chars"]),
+                   ["source", "n_chars"], {"c": "count"},
+                   pa.schema([("source", pa.string()),
+                              ("n_chars", pa.int64()), ("c", pa.int64())]))
+    return group_apply(hist, "source", quantiles, schema)
 
 
 _PACK_BUDGET = 512   # tokens per packed training sequence
@@ -2913,21 +2875,19 @@ def q_dup_window_coverage(sf_dir):
         _, inv, cnt = np.unique(t["h"].to_numpy(), return_inverse=True,
                                 return_counts=True)
         return pa.table({"doc_id": t["doc_id"],
-                         "dup": pa.array((cnt[inv] > 1).astype(np.int64)),
-                         "one": pa.array(np.ones(len(t), np.int64))})
-
-    from ray.data.aggregate import Sum
+                         "n_dup_windows": pa.array(
+                             (cnt[inv] > 1).astype(np.int64))})
 
     from .neardup import partition_apply
-    return (partition_apply(_read(sf_dir, "documents", ["doc_id", "text"])
-                            .map_batches(grams, batch_format="pyarrow"),
-                            "h", flag,
-                            pa.schema([("doc_id", pa.int64()),
-                                       ("dup", pa.int64()),
-                                       ("one", pa.int64())]))
-            .groupby("doc_id")
-            .aggregate(Sum("one", alias_name="n_windows"),
-                       Sum("dup", alias_name="n_dup_windows")))
+    flags = pa.schema([("doc_id", pa.int64()),
+                       ("n_dup_windows", pa.int64())])
+    return combine(
+        partition_apply(_read(sf_dir, "documents", ["doc_id", "text"])
+                        .map_batches(grams, batch_format="pyarrow"),
+                        "h", flag, flags),
+        ["doc_id"], {"n_windows": "count", "n_dup_windows": "sum"},
+        pa.schema([("doc_id", pa.int64()), ("n_windows", pa.int64()),
+                   ("n_dup_windows", pa.int64())]))
 
 
 # ---------------------------------------------------------------------------
@@ -3128,8 +3088,6 @@ def _lm_score_shuffled(docs):
     sums; a doc_id groupby folds the
     integers.  Shuffled volume O(distinct bigrams per doc), never the
     text."""
-    from ray.data.aggregate import Sum
-
     def tagged(b: pa.Table) -> pa.Table:
         gs, hs, ids, ks = [], [], [], []
         for doc_id, t in zip(b["doc_id"].to_numpy(),
@@ -3166,22 +3124,18 @@ def _lm_score_shuffled(docs):
         sel = d != -1
         kk, tc = k[sel], train[codes[sel]]
         return pa.table({"doc_id": pa.array(d[sel]),
-                         "nb": pa.array(kk),
-                         "m": pa.array(kk * tc),
-                         "v": pa.array(np.where(tc == 0, kk, 0))})
+                         "n_bigrams": pa.array(kk),
+                         "mass": pa.array(kk * tc),
+                         "n_oov": pa.array(np.where(tc == 0, kk, 0))})
 
     from .neardup import partition_apply
-    return (partition_apply(docs.map_batches(tagged,
-                                             batch_format="pyarrow"),
-                            "h", score,
-                            pa.schema([("doc_id", pa.int64()),
-                                       ("nb", pa.int64()),
-                                       ("m", pa.int64()),
-                                       ("v", pa.int64())]))
-            .groupby("doc_id")
-            .aggregate(Sum("nb", alias_name="n_bigrams"),
-                       Sum("m", alias_name="mass"),
-                       Sum("v", alias_name="n_oov")))
+    schema = pa.schema([("doc_id", pa.int64()), ("n_bigrams", pa.int64()),
+                        ("mass", pa.int64()), ("n_oov", pa.int64())])
+    return combine(partition_apply(docs.map_batches(tagged,
+                                                    batch_format="pyarrow"),
+                                   "h", score, schema),
+                   ["doc_id"], dict.fromkeys(schema.names[1:], "sum"),
+                   schema)
 
 
 def q_lm_bigram_score(sf_dir):
@@ -5254,7 +5208,6 @@ def q_source_vocab_overlap(sf_dir):
     folds the ≤ P·sources² partial rows — output is sources²-bounded,
     independent of corpus size."""
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     from .neardup import partition_apply
 
@@ -5275,18 +5228,19 @@ def q_source_vocab_overlap(sf_dir):
         m = df.merge(df, on="word")
         m = m[m["source_x"] < m["source_y"]]
         agg = (m.groupby(["source_x", "source_y"], sort=False)
-               .size().reset_index(name="one"))
+               .size().reset_index(name="n_shared"))
         return pa.table({"source_a": pa.array(agg["source_x"], pa.string()),
                          "source_b": pa.array(agg["source_y"], pa.string()),
-                         "one": pa.array(agg["one"].to_numpy(np.int64))})
+                         "n_shared": pa.array(
+                             agg["n_shared"].to_numpy(np.int64))})
 
     schema = pa.schema([("source_a", pa.string()),
-                        ("source_b", pa.string()), ("one", pa.int64())])
+                        ("source_b", pa.string()),
+                        ("n_shared", pa.int64())])
     exploded = (_read(sf_dir, "documents", ["source", "text"])
                 .map_batches(explode, batch_format="pyarrow"))
-    return (partition_apply(exploded, "h", pairs, schema)
-            .groupby(["source_a", "source_b"])
-            .aggregate(Sum("one", alias_name="n_shared")))
+    return combine(partition_apply(exploded, "h", pairs, schema),
+                   ["source_a", "source_b"], {"n_shared": "sum"}, schema)
 
 
 ORACLES["source_vocab_overlap"] = r"""
@@ -5431,8 +5385,6 @@ def q_wds_shard_stats(sf_dir):
     Consumes the plan the way the packer does: the SAME two streaming
     passes, then a shards-bounded groupby — corpus-size-independent
     output."""
-    from ray.data.aggregate import Count, Sum
-
     # join n_chars back onto the plan by doc_id: partitioned hash join
     # via the existing attach machinery (no broadcast)
     from .neardup import attach_column
@@ -5446,14 +5398,18 @@ def q_wds_shard_stats(sf_dir):
         nb = b["n_chars"].to_numpy()
         return pa.table({
             "shard_id": b["shard_id"],
-            "n_chars": pa.array(nb.astype(np.int64)),
-            "over": pa.array((nb > _WDS_SHARD_CHARS).astype(np.int64))})
+            "n_bytes": pa.array(nb.astype(np.int64)),
+            "n_oversize_docs": pa.array(
+                (nb > _WDS_SHARD_CHARS).astype(np.int64))})
 
-    return (sized.map_batches(flag, batch_format="pyarrow")
-            .groupby("shard_id")
-            .aggregate(Count(alias_name="n_docs"),
-                       Sum("n_chars", alias_name="n_bytes"),
-                       Sum("over", alias_name="n_oversize_docs")))
+    return combine(sized.map_batches(flag, batch_format="pyarrow"),
+                   ["shard_id"],
+                   {"n_docs": "count", "n_bytes": "sum",
+                    "n_oversize_docs": "sum"},
+                   pa.schema([("shard_id", pa.int64()),
+                              ("n_docs", pa.int64()),
+                              ("n_bytes", pa.int64()),
+                              ("n_oversize_docs", pa.int64())]))
 
 
 ORACLES["wds_shard_stats"] = rf"""
@@ -6241,26 +6197,17 @@ def q_split_drift(sf_dir):
     tiny histogram with arbitrary-precision Python ints: tv_ppm =
     Σ|c_a·n_b − c_b·n_a| · 10^6 // (2·n_a·n_b) — no float ever, so
     the oracle (DuckDB HUGEINT) matches bit-for-bit."""
-    import pandas as pd
-    from ray.data.aggregate import Sum
+    def split(b: pa.Table) -> pa.Table:
+        b_side = (b["doc_id"].to_numpy() % 5 == 0).astype(np.int64)
+        return pa.table({"n_chars": b["n_chars"],
+                         "ca": pa.array(1 - b_side),
+                         "cb": pa.array(b_side)})
 
-    def partial(b: pa.Table) -> pa.Table:
-        ids = b["doc_id"].to_numpy()
-        df = pd.DataFrame({"n_chars": b["n_chars"].to_numpy(),
-                           "ca": (ids % 5 != 0).astype(np.int64),
-                           "cb": (ids % 5 == 0).astype(np.int64)})
-        g = df.groupby("n_chars", sort=False).sum().reset_index()
-        return pa.table({"n_chars": pa.array(g["n_chars"].to_numpy(
-                             np.int64)),
-                         "ca": pa.array(g["ca"].to_numpy(np.int64)),
-                         "cb": pa.array(g["cb"].to_numpy(np.int64))})
-
-    hist = (_read(sf_dir, "documents", ["doc_id", "n_chars"])
-            .map_batches(partial, batch_format="pyarrow")
-            .groupby("n_chars")
-            .aggregate(Sum("ca", alias_name="ca"),
-                       Sum("cb", alias_name="cb"))
-            .take_all())
+    hist = combine(_read(sf_dir, "documents", ["doc_id", "n_chars"])
+                   .map_batches(split, batch_format="pyarrow"),
+                   ["n_chars"], {"ca": "sum", "cb": "sum"},
+                   pa.schema([("n_chars", pa.int64()), ("ca", pa.int64()),
+                              ("cb", pa.int64())])).take_all()
     n_a = sum(int(r["ca"]) for r in hist)
     n_b = sum(int(r["cb"]) for r in hist)
     num = sum(abs(int(r["ca"]) * n_b - int(r["cb"]) * n_a) for r in hist)
@@ -6301,7 +6248,6 @@ def q_oov_rate(sf_dir):
     batch to per-source (n_tokens, n_oov) partials, then a
     sources-bounded groupby.  Nothing corpus-sized ever sorts."""
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     vocab = frozenset(r["word"] for r in q_vocab_topk(sf_dir).take_all())
 
@@ -6322,12 +6268,13 @@ def q_oov_rate(sf_dir):
         return b.append_column(
             "oov_ppm", pa.array(no * 1_000_000 // np.maximum(nt, 1)))
 
-    return (_read(sf_dir, "documents", ["source", "text"])
-            .map_batches(partial, batch_format="pandas")
-            .groupby("source")
-            .aggregate(Sum("n_tokens", alias_name="n_tokens"),
-                       Sum("n_oov", alias_name="n_oov"))
-            .map_batches(ppm, batch_format="pyarrow"))
+    return combine(_read(sf_dir, "documents", ["source", "text"])
+                   .map_batches(partial, batch_format="pandas"),
+                   ["source"], {"n_tokens": "sum", "n_oov": "sum"},
+                   pa.schema([("source", pa.string()),
+                              ("n_tokens", pa.int64()),
+                              ("n_oov", pa.int64())])
+                   ).map_batches(ppm, batch_format="pyarrow")
 
 
 ORACLES["oov_rate"] = r"""
@@ -6672,11 +6619,6 @@ def q_tfidf_search(sf_dir):
     explode + isin + bincount (no Python per token), and only scoring
     docs reach the final top-k rank.  Tokens follow the repo's
     whitespace-run convention (`token_count`)."""
-    import pandas as pd
-
-    from .neardup import partition_apply
-    from .queries import _group_sum
-
     terms = list(_SEARCH_TERMS)
 
     def df_partials(b: pa.Table) -> pa.Table:
@@ -6693,10 +6635,10 @@ def q_tfidf_search(sf_dir):
             "word": pa.array(terms + ["__docs__"], pa.string()),
             "df": pa.array(np.append(dfc, np.int64(len(texts))))})
 
-    stats = partition_apply(
+    stats = combine(
         _read(sf_dir, "documents", ["text"])
-        .map_batches(df_partials, batch_format="pyarrow"), "word",
-        functools.partial(_group_sum, ["word"]),
+        .map_batches(df_partials, batch_format="pyarrow"), ["word"],
+        {"df": "sum"},
         pa.schema([("word", pa.string()), ("df", pa.int64())])).take_all()
     df_map = {r["word"]: int(r["df"]) for r in stats}
     n_docs = df_map.pop("__docs__", 0)

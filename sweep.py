@@ -43,6 +43,7 @@ def main() -> int:
 
     import pandas as pd
     n_green = n_rows_only = n_fail = 0
+    oracle_s = rows_only_s = 0.0
     for name, fn in qs.items():
         if only and name not in only:
             continue
@@ -57,8 +58,10 @@ def main() -> int:
         dt = time.perf_counter() - t0
         if name not in oracles:
             n_rows_only += 1
+            rows_only_s += dt
             print(f"rows  {name}: {len(df)} rows ({dt:.1f}s)")
             continue
+        oracle_s += dt
         odf = con.sql(oracles[name]).df()
         a, b = _norm(df), _norm(odf)
         try:
@@ -69,7 +72,9 @@ def main() -> int:
             n_fail += 1
             print(f"FAIL  {name}: {str(exc).splitlines()[0]} "
                   f"(ray {len(df)} rows vs oracle {len(odf)})")
-    print(f"== {n_green} green, {n_rows_only} rows-only, {n_fail} failed")
+    print(f"== {n_green} green, {n_rows_only} rows-only, {n_fail} failed; "
+          f"query seconds: {oracle_s:.1f} oracle-checked, "
+          f"{rows_only_s:.1f} rows-only")
     ray.shutdown()
     return 1 if n_fail else 0
 

@@ -254,8 +254,11 @@ def test_string_key_partition_is_process_independent():
 
 def test_one_shuffle_mechanism():
     """Every per-key step of the package runs on the neardup hash
-    exchange: no Ray Data sort-based ``.map_groups(`` call and no
-    ``n_buckets`` knob on the query modules."""
+    exchange: no Ray Data sort-based ``.map_groups(`` call, no
+    ``ray.data.aggregate`` import (every aggregate is
+    ``neardup.combine``; Arrow's ``Table.group_by().aggregate`` is not
+    a shuffle and stays allowed) and no ``n_buckets`` knob on the
+    query modules."""
     import ast
     import pathlib
 
@@ -271,6 +274,14 @@ def test_one_shuffle_mechanism():
             elif query_module and isinstance(node, ast.arg) and \
                     node.arg == "n_buckets":
                 found.append(f"{path.name}:{node.lineno} n_buckets")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                mod = getattr(node, "module", None)
+                names = ([mod] + [f"{mod}.{a.name}" for a in node.names]
+                         if mod else [a.name for a in node.names])
+                if any(n == "ray.data.aggregate" or
+                       n.startswith("ray.data.aggregate.") for n in names):
+                    found.append(f"{path.name}:{node.lineno} "
+                                 f"ray.data.aggregate")
     assert not found, found
 
 
