@@ -39,6 +39,17 @@ per partition); no module calls ``groupby().map_groups`` or Ray
 Data's ``groupby().aggregate``, whose range sort costs seconds of
 orchestration even on a few hundred rows.
 
+Exchanges chain on object refs.  An exchange returns an
+``ExchangeOutput``: its reduce refs, each reduce's (rows, bytes) stats
+and the declared schema.  The next exchange takes those refs as its
+input blocks, sized by the stats, so no Dataset is built and nothing
+is copied between two exchanges; a pyarrow ``map_batches`` on the
+output runs one task per partition on the same refs.  Ray Data comes
+in only at a query's two ends: the read, and the result, where a
+caller uses the output as a Dataset and one is built, once, with
+``from_arrow_refs``.  ``exchange_log()`` reads each call's P, input
+size and partition skew from the same stats.
+
 Partitioning contract: every (band, key) bucket lands WHOLLY in one
 reduce partition (the hash is over the bucket key, never the doc), so
 pair expansion sees complete buckets; P bounds per-reduce-task memory
@@ -58,6 +69,7 @@ partition through the ``pyspider_ray.neardup`` logger.
 
 from __future__ import annotations
 
+import collections
 import functools
 
 import numpy as np
@@ -205,8 +217,107 @@ def _concat(parts) -> pa.Table | None:
 
 
 def _arrow_schema(ds) -> pa.Schema:
+    if isinstance(ds, ExchangeOutput):
+        return ds.declared
     s = ds.schema()
     return pa.schema(list(zip(s.names, s.types)))
+
+
+class ExchangeOutput:
+    """What every exchange returns: one Arrow-table ref per reduce
+    partition, a ref to each partition's stats tuple ``(rows, bytes,
+    rows_in, bytes_in)`` and the declared schema.  The next exchange
+    takes the refs as they are, sized by the stats; nothing is copied
+    and no Dataset is built between two exchanges.
+
+    It stays refs until a caller uses it as a Dataset: any Dataset
+    method (``to_pandas``, ``take_all``, ``iter_batches``, ``sort``,
+    ``union``, ...) builds one, once, with ``from_arrow_refs``.
+    ``schema()`` answers from the declared schema, ``count()`` from the
+    stats and ``materialize()`` waits for the stats and returns the
+    output itself.  A plain
+    pyarrow ``map_batches`` runs as one task per partition on the refs
+    (``_nd_map``) and returns another ExchangeOutput."""
+
+    def __init__(self, refs: list, stats: list, schema: pa.Schema):
+        self.refs, self.stats = refs, stats
+        self.declared = schema.remove_metadata()
+        self._ds = None
+        self._sizes = None
+
+    def sizes(self) -> list[tuple]:
+        """Each partition's (rows, bytes, rows_in, bytes_in), fetched
+        once; waiting on them surfaces a failed partition fn here."""
+        if self._sizes is None:
+            self._sizes = ray.get(self.stats)
+        return self._sizes
+
+    def dataset(self):
+        if self._ds is None:
+            import ray.data as rd
+            self._ds = rd.from_arrow_refs(self.refs)
+        return self._ds
+
+    def schema(self):
+        from ray.data import DataContext
+        from ray.data.dataset import Schema
+        return Schema(self.declared, data_context=DataContext.get_current())
+
+    def count(self) -> int:
+        return sum(s[0] for s in self.sizes())
+
+    def materialize(self):
+        """The output itself, once every partition exists (as with a
+        Dataset, a caller may then remove what the tasks read)."""
+        self.sizes()
+        return self
+
+    def map_batches(self, fn, *, batch_format="default", batch_size=None,
+                    fn_kwargs=None, **kw):
+        """Ray Data's ``map_batches``.  A pyarrow map of a plain
+        function runs what Ray Data would run over these blocks —
+        ``fn`` on each whole partition, or on its ``batch_size``-row
+        slices — as one task per partition, with no executor; its
+        output schema is ``fn``'s output on an empty input.  Anything
+        else (other formats or options, callable classes, object-store
+        refs in ``fn_kwargs``, a fn that rejects an empty input) goes
+        to the Dataset."""
+        fn_kwargs = fn_kwargs or {}
+        schema = None
+        if batch_format == "pyarrow" and not kw and \
+                not isinstance(fn, type) and \
+                (batch_size is None or isinstance(batch_size, int)) and \
+                not any(isinstance(v, ray.ObjectRef)
+                        for v in fn_kwargs.values()):
+            try:
+                probe = fn(self.declared.empty_table(), **fn_kwargs)
+            except Exception:                          # noqa: BLE001
+                # no schema to declare: Ray Data runs fn instead, and
+                # raises whatever fn raises on real batches
+                probe = None
+            if isinstance(probe, pa.Table) and \
+                    not any(pa.types.is_null(t) for t in probe.schema.types):
+                schema = probe.schema.remove_metadata()
+        if schema is None:
+            return self.dataset().map_batches(
+                fn, batch_format=batch_format, batch_size=batch_size,
+                fn_kwargs=fn_kwargs, **kw)
+        outs = [_nd_map.remote(fn, batch_size, fn_kwargs, schema, ref)
+                for ref in self.refs]
+        return ExchangeOutput([o[0] for o in outs], [o[1] for o in outs],
+                              schema)
+
+    def __getattr__(self, name):
+        # only names this class does not define reach here; its own
+        # must not recurse through dataset() before __init__ set them
+        if name.startswith("__") or name in ("refs", "stats", "declared",
+                                             "_ds", "_sizes"):
+            raise AttributeError(name)
+        return getattr(self.dataset(), name)
+
+    def __repr__(self) -> str:
+        return (f"ExchangeOutput(partitions={len(self.refs)}, "
+                f"schema={self.declared})")
 
 
 # -- the exchange (module-level tasks: registered once, unpickled with the
@@ -221,13 +332,28 @@ _MAX_PARTITIONS = 64
 _MAP_GROUP_BYTES = 64 << 20
 
 
+def _is_materialized(ds) -> bool:
+    from ray.data.dataset import MaterializedDataset
+    return isinstance(ds, (ExchangeOutput, MaterializedDataset))
+
+
+def _materialized(ds):
+    """``ds`` itself when its blocks already exist, else materialized."""
+    return ds if _is_materialized(ds) else ds.materialize()
+
+
 def _blocks(ds) -> tuple[list, list]:
-    """Non-empty block refs of a Dataset and their byte sizes
-    (materializes the input — the exchange needs the complete block
-    list; blocks stay in the object store, nothing lands on the
-    driver)."""
+    """Non-empty block refs of an input and their byte sizes.  An
+    exchange's output gives its partition refs, sized by the stats its
+    reduce returned; a Dataset is materialized unless it already is
+    (the exchange needs the complete block list; blocks stay in the
+    object store, nothing lands on the driver)."""
+    if isinstance(ds, ExchangeOutput):
+        # empty partitions carry nothing: skip them
+        return ([r for r, s in zip(ds.refs, ds.sizes()) if s[0]],
+                [s[1] for s in ds.sizes() if s[0]])
     refs, sizes = [], []
-    for bundle in ds.materialize().iter_internal_ref_bundles():
+    for bundle in _materialized(ds).iter_internal_ref_bundles():
         for ref, meta in zip(bundle.block_refs, bundle.metadata):
             if meta.num_rows == 0:
                 # empty blocks carry a ZERO-COLUMN schema (Ray Data
@@ -374,34 +500,101 @@ def _expand_bipartite_runs(band: np.ndarray, key: np.ndarray,
     return qs, cs
 
 
-@ray.remote
-def _nd_apply(fn, schema: pa.Schema, counts: tuple, *parts) -> pa.Table:
+def _stats(out: pa.Table, sides) -> tuple:
+    """(rows, bytes) of a reduce's output, then of its input."""
+    return (len(out), out.nbytes, sum(len(t) for t in sides),
+            sum(t.nbytes for t in sides))
+
+
+@ray.remote(num_returns=2)
+def _nd_apply(fn, schema: pa.Schema, counts: tuple, *parts) -> tuple:
     """Reduce side of every exchange: ``fn`` applied ONCE to the whole
     partition, one concatenated table per side (``counts`` parts each;
     None for a side with no rows) — fn must itself handle a mix of keys,
     e.g. a per-key pandas merge/groupby inside.  The partition hash
     pins every key to exactly one partition, so partition-local
     per-key results are global.  An empty first side or result comes
-    back as the declared ``schema``."""
+    back as the declared ``schema``.  Returns the table and its
+    ``_stats``."""
     bounds = np.cumsum((0,) + counts)
     sides = [_concat(parts[i:j]) for i, j in zip(bounds[:-1], bounds[1:])]
     out = fn(*sides) if sides[0] is not None else None
-    return out if out is not None and len(out) else schema.empty_table()
+    out = out if out is not None and len(out) else schema.empty_table()
+    return out, _stats(out, [t for t in sides if t is not None])
 
 
-def _apply(fn, schema: pa.Schema, *sides):
-    """``fn`` on each partition of the (Dataset, part_of) ``sides``."""
-    import ray.data as rd
-    return rd.from_arrow_refs([
-        _nd_apply.remote(fn, schema, tuple(map(len, parts)), *sum(parts, []))
-        for parts in _partitioned(*sides)])
+@ray.remote(num_returns=2)
+def _nd_map(fn, batch_size, fn_kwargs: dict, schema: pa.Schema,
+            t: pa.Table) -> tuple:
+    """``ExchangeOutput.map_batches`` on one partition: ``fn`` on the
+    whole table or on its ``batch_size``-row slices, skipped on an
+    empty one as Ray Data skips it; the output is cast to ``schema``
+    where it differs (a loud error if it cannot be)."""
+    step = batch_size or max(1, len(t))
+    outs = [fn(t.slice(i, step), **fn_kwargs) for i in range(0, len(t), step)]
+    outs = [o if o.schema.equals(schema) else o.cast(schema)
+            for o in outs if len(o)]
+    out = pa.concat_tables(outs) if outs else schema.empty_table()
+    return out, _stats(out, [t])
+
+
+# the last few exchange calls: (partition fn, P, stats refs, job id)
+_EXCHANGE_LOG: collections.deque = collections.deque(maxlen=8)
+
+
+def _fn_name(fn) -> str:
+    while isinstance(fn, functools.partial):
+        fn = fn.func
+    return getattr(fn, "__qualname__", repr(fn))
+
+
+def exchange_log() -> list[dict]:
+    """The last few exchange calls of this Ray job, oldest first: the
+    partition fn, P, the input's rows and bytes, the output's rows and
+    bytes, and the largest and the median bytes one partition carried
+    into its reduce task (``part_bytes_max`` well above
+    ``part_bytes_median`` is a skewed key).  Read from the stats each
+    reduce returns anyway, fetched here and not on the query path.
+    A call whose partition fn raised has no stats and is left out: its
+    query already failed with that exception."""
+    job = ray.get_runtime_context().get_job_id()
+    out = []
+    for fn, P, stats, rec_job in list(_EXCHANGE_LOG):
+        if rec_job != job:
+            continue
+        try:
+            got = np.array(ray.get(stats), dtype=np.int64).reshape(-1, 4)
+        except ray.exceptions.RayTaskError:
+            continue
+        out.append({"fn": fn, "P": P,
+                    "rows_in": int(got[:, 2].sum()),
+                    "bytes_in": int(got[:, 3].sum()),
+                    "rows_out": int(got[:, 0].sum()),
+                    "bytes_out": int(got[:, 1].sum()),
+                    "part_bytes_max": int(got[:, 3].max()),
+                    "part_bytes_median": int(np.median(got[:, 3]))})
+    return out
+
+
+def _apply(fn, schema: pa.Schema, *sides) -> ExchangeOutput:
+    """``fn`` on each partition of the (input, part_of) ``sides``; the
+    reduce refs come back as they are, in an ``ExchangeOutput``."""
+    outs = [_nd_apply.remote(fn, schema, tuple(map(len, parts)),
+                             *sum(parts, []))
+            for parts in _partitioned(*sides)]
+    stats = [o[1] for o in outs]
+    _EXCHANGE_LOG.append((_fn_name(fn), len(outs), stats,
+                          ray.get_runtime_context().get_job_id()))
+    return ExchangeOutput([o[0] for o in outs], stats, schema)
 
 
 def partition_apply(ds, key_col: str, fn, schema: pa.Schema):
     """Like group_apply, but ``fn`` runs once per hash PARTITION, not
     once per key group — for vectorized fns that already group
     internally (pandas merge / groupby).  High-cardinality keys (a
-    vocabulary) pay 1 fn call per partition instead of 1 per key."""
+    vocabulary) pay 1 fn call per partition instead of 1 per key.
+    Returns an ``ExchangeOutput``: the reduce refs, used as they are
+    by a next exchange and as a Dataset once a caller needs one."""
     return _apply(fn, schema, (ds, functools.partial(_key_part, key_col)))
 
 
@@ -470,8 +663,7 @@ def combine(ds, keys: list, aggs: dict, schema: pa.Schema):
     skips the per-batch pass: its blocks go straight to the exchange,
     whose reduce aggregates whole keys at once — a per-batch map
     there would cost one more Ray Data execution for nothing."""
-    from ray.data.dataset import MaterializedDataset
-    raw = isinstance(ds, MaterializedDataset)
+    raw = _is_materialized(ds)
     if not raw:
         ds = ds.map_batches(
             functools.partial(_group_by, keys, aggs, True, None),
@@ -560,13 +752,13 @@ def hash_join(left, right, left_on: str, right_on: str | None = None,
     if how not in ("inner", "left", "semi", "anti"):
         raise ValueError(f"unsupported how={how!r}")
     right_on = right_on or left_on
-    left, right = left.materialize(), right.materialize()
+    left, right = _materialized(left), _materialized(right)
 
     lschema = _arrow_schema(left)
     if how in ("semi", "anti"):
         out_schema = lschema
     else:
-        rs = right.schema()
+        rs = _arrow_schema(right)
         fields = list(zip(lschema.names, lschema.types))
         taken = {n for n, _ in fields}
         for name, typ in zip(rs.names, rs.types):
@@ -654,7 +846,7 @@ def attach_column(pair_ds, sig_ds, sig_col: str, side: str, out_col: str):
     key set).  Inner-join semantics: pairs whose key is absent from
     sig_ds are dropped.  Output: the pair table's columns + ``out_col``,
     also when either side is empty."""
-    pair_ds, sig_ds = pair_ds.materialize(), sig_ds.materialize()
+    pair_ds, sig_ds = _materialized(pair_ds), _materialized(sig_ds)
     schema = _arrow_schema(pair_ds).append(
         _arrow_schema(sig_ds).field(sig_col).with_name(out_col))
     return _apply(functools.partial(_attach, side, sig_col, out_col),
@@ -666,7 +858,7 @@ def attach_column(pair_ds, sig_ds, sig_col: str, side: str, out_col: str):
 def join_signatures(pair_ds, sig_ds, sig_col: str):
     """Attach a per-doc signature column to both sides of a pair table
     via two partitioned hash joins (the no-broadcast verify path)."""
-    sig_ds = sig_ds.materialize()   # read once, feed both attaches
+    sig_ds = _materialized(sig_ds)   # read once, feed both attaches
     a = attach_column(pair_ds, sig_ds, sig_col, "doc_a", f"{sig_col}_a")
     return attach_column(a, sig_ds, sig_col, "doc_b", f"{sig_col}_b")
 

@@ -157,12 +157,11 @@ def refresh(new_ds, art_dir: str):
                  .map_batches(tag_q, batch_format="pyarrow"))
     hist_bands = (_rd().read_parquet(os.path.join(art_dir, "bands"))
                   .map_batches(tag_c, batch_format="pyarrow"))
-    pairs = (bipartite_candidate_pairs(new_bands.union(hist_bands))
-             .materialize())
+    pairs = bipartite_candidate_pairs(new_bands.union(hist_bands))
 
     hist_words = _rd().read_parquet(os.path.join(art_dir, "words"))
     all_words = new_words.union(hist_words)
-    joined = join_signatures(pairs, all_words, "words").materialize()
+    joined = join_signatures(pairs, all_words, "words")
 
     def rename(b: pa.Table) -> pa.Table:
         return pa.table({"new_doc": b["doc_a"], "hist_doc": b["doc_b"]})

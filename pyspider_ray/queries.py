@@ -3,16 +3,20 @@ driver's parquet tables, each paired (where SQL-expressible) with a
 DuckDB oracle in ``oracles()``.
 
 Conventions:
-- every callable takes ``sf_dir`` and returns a Dataset / pyarrow.Table;
+- every callable takes ``sf_dir`` and returns a Dataset, an exchange's
+  output (which answers every Dataset method) or a pyarrow.Table;
 - computed columns carry the SAME names as the oracle SQL aliases;
 - outputs avoid raw float columns (money → cents int64, timestamps →
   epoch micros) so the driver's value-hash is stable across engines;
-- reads prune columns at the source and are sized by their bytes
-  (``_io.read_table``: one block per 8 MB, so a small table is one
-  read task with its maps fused in);
+- reads prune columns at the source and are planned from the Parquet
+  footer, sized by their bytes (``_io.read_table``: one block per
+  8 MB, so a small table is one read task with its maps fused in);
 - every aggregate is ``neardup.combine``: an Arrow group-by inside
   each batch, then one per partition of the hash exchange — no Ray
   Data ``groupby().aggregate`` and no ``map_groups``;
+- Ray Data runs a query's read and its result only: an exchange's
+  output stays object refs that the next exchange takes as they
+  are, and becomes a Dataset once, when the result is used as one;
 - small join sides are loaded once into the object store and reach
   plain map tasks as an ``ObjectRef`` (fetched once per worker
   process, never re-shipped per batch).

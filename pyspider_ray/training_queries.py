@@ -663,12 +663,11 @@ def q_jaccard_near_dup(sf_dir):
             return out
     sigs = words.map_batches(_minhash_bands_from_words,
                              batch_format="pyarrow")
-    # materialize between the shuffle stages: chaining three all-to-all
-    # ops through one lazy streaming DAG triples wall time (executor
-    # scheduling, measured); the intermediates are compact distributed
-    # tables (int64 pairs), never driver-side
-    pairs = candidate_pairs(sigs).materialize()
-    joined = join_signatures(pairs, words, "words").materialize()
+    # the exchanges chain on object refs: each takes the last one's
+    # reduce outputs as they are, and the verify map runs one task per
+    # partition on them
+    pairs = candidate_pairs(sigs)
+    joined = join_signatures(pairs, words, "words")
     return joined.map_batches(_jaccard_verify_vec, batch_format="pyarrow",
                               batch_size=65536)
 
@@ -708,8 +707,8 @@ def q_ngram_jaccard_near_dup(sf_dir):
                 .materialize())
     sigs = shingles.map_batches(_minhash_bands_from_words,
                                 batch_format="pyarrow")
-    pairs = candidate_pairs(sigs).materialize()
-    joined = join_signatures(pairs, shingles, "words").materialize()
+    pairs = candidate_pairs(sigs)
+    joined = join_signatures(pairs, shingles, "words")
     return joined.map_batches(_jaccard_verify_vec, batch_format="pyarrow",
                               batch_size=65536)
 
@@ -1867,7 +1866,7 @@ def _components_from_pairs(pair_ds):
 
     labels = min_by_key(
         pairs.map_batches(_both_endpoints, batch_format="pyarrow"),
-        "doc_id", "label").materialize()
+        "doc_id", "label")
 
     def _propose(b: pa.Table) -> pa.Table:
         """Edge fan-out: each endpoint proposes its label to the other
@@ -1892,7 +1891,7 @@ def _components_from_pairs(pair_ds):
         e = attach_column(e, labels, "label", "doc_b", "label_b")
         labels = min_by_key(
             e.map_batches(_propose, batch_format="pyarrow"),
-            "doc_id", "label").materialize()
+            "doc_id", "label")
         cur = _label_sum(labels)
         if cur == prev:
             break

@@ -5,7 +5,9 @@ comparison shape the grading driver applies.
 
 Usage: python sweep.py [sf_dir] [query ...]   (default /root/testdata/sf0.01,
 all queries).  Owns its Ray session (the library never calls ray.init).
-Prints one line per query and a final tally; exit 1 on any mismatch.
+Prints one line per query, ending with its result's order-independent
+md5 over row values and dtypes (two sweep logs diff to the queries
+whose output changed), and a final tally; exit 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -18,6 +20,24 @@ import time
 def _norm(df):
     df = df.reindex(sorted(df.columns), axis=1)
     return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+
+def _md5(df) -> str:
+    """Order-independent md5 of a result's row values and dtypes: the
+    sorted per-row hashes of its columns in name order, then the
+    dtypes.  Object values hash by their ``repr``."""
+    import hashlib
+
+    import numpy as np
+    import pandas as pd
+    df = df.reindex(sorted(df.columns), axis=1)
+    vals = pd.DataFrame({c: df[c].map(repr) if df[c].dtype == object
+                         else df[c] for c in df.columns})
+    rows = (pd.util.hash_pandas_object(vals, index=False).to_numpy()
+            if len(df.columns) else np.zeros(len(df), np.uint64))
+    h = hashlib.md5(np.sort(rows).tobytes())
+    h.update(repr([(c, str(t)) for c, t in df.dtypes.items()]).encode())
+    return h.hexdigest()
 
 
 def main() -> int:
@@ -56,10 +76,11 @@ def main() -> int:
             n_fail += 1
             continue
         dt = time.perf_counter() - t0
+        md5 = _md5(df)
         if name not in oracles:
             n_rows_only += 1
             rows_only_s += dt
-            print(f"rows  {name}: {len(df)} rows ({dt:.1f}s)")
+            print(f"rows  {name}: {len(df)} rows ({dt:.1f}s) md5={md5}")
             continue
         oracle_s += dt
         odf = con.sql(oracles[name]).df()
@@ -67,11 +88,11 @@ def main() -> int:
         try:
             pd.testing.assert_frame_equal(a, b, check_dtype=True)
             n_green += 1
-            print(f"GREEN {name}: {len(df)} rows ({dt:.1f}s)")
+            print(f"GREEN {name}: {len(df)} rows ({dt:.1f}s) md5={md5}")
         except AssertionError as exc:
             n_fail += 1
             print(f"FAIL  {name}: {str(exc).splitlines()[0]} "
-                  f"(ray {len(df)} rows vs oracle {len(odf)})")
+                  f"(ray {len(df)} rows vs oracle {len(odf)}) md5={md5}")
     print(f"== {n_green} green, {n_rows_only} rows-only, {n_fail} failed; "
           f"query seconds: {oracle_s:.1f} oracle-checked, "
           f"{rows_only_s:.1f} rows-only")

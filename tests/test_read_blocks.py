@@ -17,7 +17,7 @@ def test_small_table_is_one_fused_read_map(sf_dir):
     ds = (_io.read_table(sf_dir, "events", ["event_id", "ts"])
           .map_batches(lambda b: b, batch_format="pyarrow").materialize())
     assert ds.num_blocks() == 1
-    assert "ReadParquet->MapBatches(<lambda>)" in ds.stats()
+    assert "ReadParquetFooter->MapBatches(<lambda>)" in ds.stats()
 
 
 def test_blocks_follow_selected_column_bytes(tmp_path):
