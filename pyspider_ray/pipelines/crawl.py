@@ -1,19 +1,27 @@
 """The crawl loop: pyspider's ``run_once`` topology (scheduler.py:661-671
-+ run.py:501-582 ``all`` mode) as a round-based Ray Data pipeline.
++ run.py:501-582 ``all`` mode) as a round-based pipeline over Ray actors.
 
-Each round:
+Two rounds are in flight.  Round k:
 
-1. coordinator ``round()`` — drain status packs, drain follows, cronjob
-   ticks, budgeted cross-shard select (reference-identical order);
-2. politeness gate — per-host token buckets + robots (deferred tasks
+1. feedback — collects the control rows of every round dispatched two
+   or more rounds ago: their status packs go to the shards, their
+   follows canonicalize into new tasks.  Round k-1's chunks keep
+   running on the workers meanwhile, so a round's feedback reaches
+   select two rounds later (the reference has no round barrier at all:
+   its scheduler keeps selecting while fetchers and processors work);
+2. coordinator — status packs, then requests, cronjob ticks and the
+   budgeted cross-shard select (reference-identical order);
+3. politeness gate — per-host token buckets + robots (deferred tasks
    re-queue, robots-blocked become 403 failures);
-3. the data plane — a Ray Data pipeline over the admitted batch:
-   ``from_arrow → map_batches(SyntheticFetcher, actor pool)
-   → map_batches(ProcessorStage, actor pool)``; payload rows stream to
-   partitioned Parquet (one directory per round — resumable), compact
-   control rows (status + follows) come back to the driver;
-4. feedback — follows canonicalize → next round's new_tasks; status
-   packs → next round's dispatch.
+4. the data plane — every chunk of the admitted batch is queued at
+   once, round-robin over persistent worker actors (fetch → process);
+   each worker runs its queue in order, so one that finishes round k-1
+   early starts on round k.  Payload rows go to partitioned Parquet
+   (one directory per round — resumable); compact control rows (status
+   + follows) come back to the driver for round k+2.
+
+The in-process path (``use_ray=False``) runs the same schedule, so the
+two produce the same emitted order, seen set and result rows.
 
 Frontier state lives in per-shard actors (``ray.remote`` wrapping
 ``FrontierShard``); the driver holds only the coordinator's sequential
@@ -50,6 +58,7 @@ from ..stages.processor import (CONTROL_COLUMNS, ProcessorStage,
 from ..state import (Coordinator, FrontierShard, ProjectConfig, VirtualClock)
 
 FETCH_INPUT_COLUMNS = ("taskid", "urlhash", "project", "url", "host")
+BUSY_KEY = "worker_busy_s"   # control-table metadata: process_chunk seconds
 
 
 class ResultWriteError(RuntimeError):
@@ -110,8 +119,8 @@ class CrawlConfig:
     # on tasks handed to the data plane per round; overflow holds in a
     # driver-side send buffer and SELECT HALTS until it drains (the
     # reference stops selecting while out_queue is full).  0 = off
-    # (the completion-driven chunk dispatch already bounds in-flight
-    # work; this models the reference's explicit queue limit).
+    # (two rounds in flight already bound the queued work at two
+    # rounds' selections; this models the reference's explicit limit).
     out_queue_limit: int = 0
     clock_step: float = 1.0
     out_dir: str = "/tmp/pyspider_ray_out"
@@ -296,6 +305,7 @@ class _WorkerActor:
         # span-slicing here lets the driver ray.put the round table ONCE
         # and hand (ref, offset, len) to every chunk — one driver-side
         # serialization per round instead of one per chunk
+        t0 = time.perf_counter()
         self._raise_write_error()
         if span is not None:
             table = table.slice(span[0], span[1])
@@ -323,8 +333,12 @@ class _WorkerActor:
                 pid = part_idx if one_batch else f"{part_idx}_{k}"
                 self._write_queue.put((results, round_dir, pid))
         self._raise_write_error()
-        return ctrl_parts[0] if len(ctrl_parts) == 1 \
+        ctrl = ctrl_parts[0] if len(ctrl_parts) == 1 \
             else pa.concat_tables(ctrl_parts)
+        # the body's wall time rides back as schema metadata; the driver
+        # sums it per plane into the round metric's worker_busy_s
+        return ctrl.replace_schema_metadata(
+            {BUSY_KEY: repr(time.perf_counter() - t0)})
 
 
 class _RayCoordinator(Coordinator):
@@ -369,7 +383,10 @@ class CrawlPipeline:
         self.metrics: list[dict] = []
         self._pending_status: list[dict] = []   # dict packs (403s, tests)
         self._pending_new: list[dict] = []      # seed/control task dicts
-        self._pending_ctrl: list[pa.Table] = []  # fetched-round control tables
+        # one data plane per dispatched round not yet ingested, oldest
+        # first: {"round", "chunks", "table_ref", "round_dir"} in flight,
+        # {"round", "tables", "busy_s"} once resolved
+        self._pending_ctrl: list[dict] = []
         self._send_buffer: list[dict] = []      # W8 out-queue overflow
         # runtime-control command queue (webapi POSTs, reference
         # scheduler xmlrpc scheduler.py:693-736): producers are other
@@ -609,39 +626,40 @@ class CrawlPipeline:
                          for _ in range(self.cfg.concurrency)]
         return self._workers
 
-    def _run_data_plane(self, table: pa.Table, round_dir: str) -> pa.Table:
-        """fetch → process; payload rows to Parquet, control rows back."""
+    def _run_data_plane(self, table: pa.Table, round_dir: str) -> dict:
+        """fetch → process; payload rows to Parquet.  Returns the
+        round's plane: in flight (Ray: its queued chunks) or resolved
+        (in-process: its control tables and busy seconds)."""
         cfg = self.cfg
+        plane = {"round": self.round_idx}
         if cfg.use_ray:
             import math
             import ray
             workers = self._worker_pool()
-            # ~4 chunks per worker + completion-driven re-dispatch: per-row
-            # cost varies ~10x with page dims, so finer chunks smooth the
-            # tail (the slowest chunk, not the slowest worker, bounds the
-            # round); chunk overhead stays negligible down to 16 rows
+            # ~4 chunks per worker: per-row cost varies ~10x with page
+            # dims, so finer chunks even out each worker's share; chunk
+            # overhead stays negligible down to 16 rows
             per = max(16, math.ceil(len(table) / (len(workers) * 4)))
             # one ray.put of the whole round table; chunks are (start,
             # len) spans the worker slices zero-copy from plasma
             table_ref = ray.put(table)
-            queue = [(i // per, (i, min(per, len(table) - i)))
-                     for i in range(0, len(table), per)]
-            # inflight keeps each dispatched span so a dead worker's
-            # chunk can be re-dispatched (idempotent: payload parts
-            # write via atomic rename, control rows are regenerated)
-            state = {"round_dir": round_dir, "queue": queue, "refs": {},
-                     "inflight": {}, "table_ref": table_ref}
-            for w in workers:
-                if not state["queue"]:
-                    break
-                idx, span = state["queue"].pop(0)
-                ref = w.process_chunk.remote(table_ref, round_dir, idx, span)
-                state["refs"][ref] = (idx, w)
-                state["inflight"][idx] = span
-            # the caller resolves next round, overlapping worker compute
-            # with the driver's control-plane work
-            return state
+            # every chunk is queued now, round-robin: a worker runs its
+            # queue in order, so one that finishes the previous round's
+            # share early starts on this round's without a driver trip.
+            # Each chunk keeps its worker and span, so a dead worker's
+            # chunks can be re-dispatched (idempotent: payload parts
+            # publish via atomic rename, control rows are regenerated)
+            chunks = {}
+            for idx, start in enumerate(range(0, len(table), per)):
+                span = (start, min(per, len(table) - start))
+                w = workers[(self.round_idx + idx) % len(workers)]
+                chunks[idx] = (w.process_chunk.remote(table_ref, round_dir,
+                                                      idx, span), w, span)
+            plane.update(chunks=chunks, table_ref=table_ref,
+                         round_dir=round_dir)
+            return plane
         # no-ray path: same stages, driver-side
+        t0 = time.perf_counter()
         fetcher = getattr(self, "_local_fetcher", None)
         if fetcher is None:
             fcls = cfg.fetcher_cls or SyntheticFetcher
@@ -675,7 +693,8 @@ class CrawlPipeline:
                 sink(results, round_dir, 0)
             else:
                 _write_part(results, round_dir, 0)
-        return ctrl
+        plane.update(tables=[ctrl], busy_s=time.perf_counter() - t0)
+        return plane
 
     def _ingest_handler_extras(self, ctrl_tables: list[pa.Table]) -> None:
         """Rich follows (age/itag/force_update/...) and cross-project
@@ -707,6 +726,10 @@ class CrawlPipeline:
 
     # -- rounds --------------------------------------------------------------
     MAX_CHUNK_REDISPATCH = 3
+    # rounds whose data planes are in flight at a round boundary: round k
+    # ingests the planes of rounds <= k - ROUNDS_IN_FLIGHT.  A fixed
+    # property of the loop, not a knob — the schedule sets emitted order
+    ROUNDS_IN_FLIGHT = 2
 
     def _replace_worker(self, dead) -> object:
         """Spawn a fresh data-plane worker in a dead one's slot (W:
@@ -716,85 +739,79 @@ class CrawlPipeline:
         self._workers = [fresh if w is dead else w for w in self._workers]
         return fresh
 
-    def _drain_plane(self, state: dict, on_chunk=None) -> list[pa.Table]:
-        """Run a data-plane state to completion: completion-driven
-        re-dispatch of queued chunks; ``on_chunk`` fires for each control
-        table in deterministic submission order.  A worker that dies
-        mid-chunk is replaced and its chunk re-dispatched (idempotent —
-        payload parts publish via atomic rename)."""
+    def _redispatch_from(self, dead) -> None:
+        """Replace a dead worker and re-dispatch every chunk still queued
+        on it — with two rounds in flight that can be chunks of both —
+        to the replacement, oldest round first."""
+        fresh = self._replace_worker(dead)
+        for plane in self._pending_ctrl:
+            chunks = plane.get("chunks", {})
+            for idx in sorted(chunks):
+                _, w, span = chunks[idx]
+                if w is dead:
+                    ref = fresh.process_chunk.remote(
+                        plane["table_ref"], plane["round_dir"], idx, span)
+                    chunks[idx] = (ref, fresh, span)
+
+    def _resolve_plane(self, plane: dict) -> None:
+        """Wait for an in-flight plane's chunks, in chunk order; their
+        control tables and summed busy seconds replace the chunk state.
+        A worker that died under a chunk is replaced and its chunks
+        re-dispatched, up to MAX_CHUNK_REDISPATCH runs of one chunk."""
         import ray
-        results: dict[int, pa.Table] = {}
-        ordered: list[pa.Table] = []
-        pending = dict(state["refs"])
-        inflight = state.get("inflight", {})
+        chunks = plane.get("chunks")
+        if chunks is None:
+            return
+        tables = []
         attempts: dict[int, int] = {}
-        next_idx = 0
-        while pending:
-            done, _ = ray.wait(list(pending), num_returns=1)
-            idx, worker = pending.pop(done[0])
-            try:
-                results[idx] = ray.get(done[0])
-            except ray.exceptions.RayActorError:
-                # bounded re-dispatch: a chunk that deterministically
-                # kills its worker must surface, not loop forever
-                attempts[idx] = attempts.get(idx, 0) + 1
-                fresh = self._replace_worker(worker)
-                if attempts[idx] >= self.MAX_CHUNK_REDISPATCH:
-                    raise RuntimeError(
-                        f"data-plane chunk {idx} killed its worker "
-                        f"{attempts[idx]} times; giving up")
-                span = inflight[idx]
-                ref = fresh.process_chunk.remote(state["table_ref"],
-                                                 state["round_dir"],
-                                                 idx, span)
-                pending[ref] = (idx, fresh)
-                continue
-            inflight.pop(idx, None)
-            if state["queue"]:
-                j, span = state["queue"].pop(0)
-                ref = worker.process_chunk.remote(state["table_ref"],
-                                                  state["round_dir"], j, span)
-                pending[ref] = (j, worker)
-                inflight[j] = span
-            while next_idx in results:
-                t = results.pop(next_idx)
-                if on_chunk is not None:
-                    on_chunk(t)
-                ordered.append(t)
-                next_idx += 1
-        return ordered
+        for idx in sorted(chunks):
+            while True:
+                ref, worker, _ = chunks[idx]
+                try:
+                    tables.append(ray.get(ref))
+                    break
+                except ray.exceptions.RayActorError:
+                    # bounded re-dispatch: a chunk that deterministically
+                    # kills its worker must surface, not loop forever
+                    attempts[idx] = attempts.get(idx, 0) + 1
+                    if attempts[idx] >= self.MAX_CHUNK_REDISPATCH:
+                        self._replace_worker(worker)
+                        raise RuntimeError(
+                            f"data-plane chunk {idx} killed its worker "
+                            f"{attempts[idx]} times; giving up")
+                    self._redispatch_from(worker)
+            del chunks[idx]
+        for key in ("chunks", "table_ref", "round_dir"):
+            del plane[key]
+        plane["tables"] = tables
+        plane["busy_s"] = sum(float(t.schema.metadata[BUSY_KEY.encode()])
+                              for t in tables)
 
-    def _collect_ctrl(self, ingest_status: bool = True) -> list[pa.Table]:
-        """Materialize last round's in-flight control stream.  With
-        ``ingest_status`` the status packs feed the shards in buffered
-        groups as chunks land (deterministic chunk order), overlapping
-        shard ingestion with the remaining chunk compute."""
-        out: list[pa.Table] = []
-        buffer: list[pa.Table] = []
+    def _resolve_planes(self) -> None:
+        """Drain every plane in flight; each stays its own entry, so the
+        rounds that ingest them do not change."""
+        for plane in self._pending_ctrl:
+            self._resolve_plane(plane)
 
-        def on_chunk(t: pa.Table) -> None:
-            buffer.append(t)
-            if len(buffer) >= 8:
-                # async submit: seq assignment happens now (chunk order,
-                # deterministic); the gather runs after the drain so the
-                # shards ingest while the driver keeps dispatching chunks
-                self.coord.begin_status_tables(buffer)
-                buffer.clear()
-
-        cb = on_chunk if ingest_status else None
-        for item in self._pending_ctrl:
-            if isinstance(item, pa.Table):
-                if cb is not None:
-                    cb(item)
-                out.append(item)
-            else:
-                out.extend(self._drain_plane(item, cb))
-        if buffer:
-            self.coord.begin_status_tables(buffer)
-        if ingest_status:
-            self.coord.finish_status_tables()
-        self._pending_ctrl = []
-        return out
+    def _collect_ctrl(self) -> tuple[list[pa.Table], float]:
+        """Ingest the planes this round is due — those dispatched
+        ROUNDS_IN_FLIGHT or more rounds ago; the newer ones keep
+        running.  Their status packs reach the shards in one
+        submission, oldest plane first and chunk order within a plane.
+        Returns the control tables and the workers' busy seconds."""
+        last = self.round_idx - self.ROUNDS_IN_FLIGHT
+        due = [p for p in self._pending_ctrl if p["round"] <= last]
+        tables: list[pa.Table] = []
+        busy = 0.0
+        for plane in due:
+            self._resolve_plane(plane)
+            tables.extend(plane["tables"])
+            busy += plane["busy_s"]
+        self._pending_ctrl = [p for p in self._pending_ctrl
+                              if p["round"] > last]
+        self.coord.begin_status_tables(tables)
+        self.coord.finish_status_tables()
+        return tables, busy
 
     def apply_controls(self) -> list[dict]:
         """Drain queued runtime-control commands — the reference
@@ -840,8 +857,8 @@ class CrawlPipeline:
                     message_task(project, cmd.get("message")))
             elif op == "update_script":
                 # the script file was already validated + written by
-                # the producer; the swap itself waits for the plane to
-                # drain (run_round applies it right after _collect_ctrl)
+                # the producer; run_round applies the swap right after
+                # _collect_ctrl, draining the plane still in flight first
                 self._pending_script_reload = True
             applied.append(cmd)
         return applied
@@ -855,7 +872,7 @@ class CrawlPipeline:
         min_tick/crawl_config/retry_delay are class attrs), and retire
         the worker pool so the next data-plane dispatch spawns workers
         carrying the new class (handler classes pickle by value).
-        Called at the round boundary with the plane idle."""
+        Called at the round boundary."""
         self._pending_script_reload = False
         cfg = self.cfg
         if not cfg.script_path:
@@ -866,22 +883,18 @@ class CrawlPipeline:
         projects = db.get_all()
         if not projects:
             return
+        # the planes still in flight finish on the old class first (a
+        # dead worker's chunks re-run on an old-class replacement), and
+        # their payload writes are durable before the pool is retired
+        self._resolve_planes()
+        self._flush_writes()
         project = projects[0]
         cfg.handler_cls = _build(project)
         cfg.rate, cfg.burst = project["rate"], project["burst"]
         self.coord.update_project(_project_config(cfg))
-        workers = getattr(self, "_workers", None) or []
-        if workers:
+        if getattr(self, "_workers", None):
             import ray
-            # drain each worker's async payload-write queue BEFORE the
-            # kill — retiring the pool must not lose parquet parts the
-            # just-collected round queued (the _flush_writes contract)
-            for w in workers:
-                try:
-                    ray.get(w.flush.remote())
-                except Exception:
-                    pass
-            for w in workers:
+            for w in self._workers:
                 try:
                     ray.kill(w)
                 except Exception:
@@ -907,9 +920,9 @@ class CrawlPipeline:
         # (control dicts, then the columnar follow stream) → cron → select
         t0 = time.perf_counter()
         self.coord.dispatch_status(status)
-        ctrl_tables = self._collect_ctrl()   # streams statuses to shards
+        ctrl_tables, busy_s = self._collect_ctrl()
         if self._pending_script_reload:
-            self._apply_script_update()      # plane is idle here
+            self._apply_script_update()
         t_drain = time.perf_counter()
         self.coord.dispatch_requests(new)
         # async follow fan-out: shards ingest while the driver parses
@@ -962,8 +975,7 @@ class CrawlPipeline:
         if admitted:
             table = self._tasks_to_table(admitted)
             round_dir = self._round_dir(self.round_idx)
-            out = self._run_data_plane(table, round_dir)
-            self._pending_ctrl.append(out)
+            self._pending_ctrl.append(self._run_data_plane(table, round_dir))
             n_results = len(admitted)  # 1 control row per admitted task
 
         t_dispatch = time.perf_counter()
@@ -975,10 +987,14 @@ class CrawlPipeline:
                   "send_buffered": len(self._send_buffer),
                   "vtime": self.clock.now(),
                   # driver-phase wall breakdown (seconds): drain = wait on
-                  # last round's data plane + status ingest; follow = follow
-                  # fan-out (+handler extras); select = cron+select+gate;
-                  # dispatch = table build + chunk submission
+                  # the due round's data plane + status ingest; follow =
+                  # follow fan-out (+handler extras); select =
+                  # cron+select+gate; dispatch = table build + chunk
+                  # submission
                   "t_drain": round(t_drain - t0, 4),
+                  # process_chunk seconds summed over the due plane (all
+                  # workers); in-process, the data plane's wall time
+                  "worker_busy_s": round(busy_s, 4),
                   "t_follow": round(t_follow - t_drain, 4),
                   "t_select": round(t_select - t_follow, 4),
                   "t_dispatch": round(t_dispatch - t_select, 4)}
@@ -1032,7 +1048,7 @@ class CrawlPipeline:
                 try:
                     ray.get(w.flush.remote())
                 except ray.exceptions.RayActorError:
-                    self._replace_worker(w)
+                    self._redispatch_from(w)
 
     # -- inspection ----------------------------------------------------------
     def seen_taskids(self) -> list[str]:
@@ -1056,7 +1072,11 @@ class CrawlPipeline:
 
     # -- checkpoint / resume (M4) --------------------------------------------
     def checkpoint(self) -> str:
-        self._flush_writes()   # result partitions must be durable first
+        # every plane in flight is drained and its result partitions made
+        # durable first; each plane stays its own entry, so a checkpoint
+        # never changes which round ingests it
+        self._resolve_planes()
+        self._flush_writes()
         tag = f"round={self.round_idx:05d}"
         cdir = os.path.join(self.ckpt_dir, tag + ".tmp")
         os.makedirs(cdir, exist_ok=True)
@@ -1068,18 +1088,12 @@ class CrawlPipeline:
             for i, s in enumerate(self.shards):
                 with open(os.path.join(cdir, f"shard_{i}.pkl"), "wb") as f:
                     pickle.dump(s.snapshot(), f)
-        resolved_ctrl = self._collect_ctrl(ingest_status=False)
-        self._pending_ctrl = list(resolved_ctrl)  # keep for the live run
-        # the drain above may have enqueued new async payload writes; flush
-        # again so every result partition referenced by the checkpointed
-        # control tables is durable before the manifest is published
-        self._flush_writes()
         state = {
             "coordinator": self.coord.snapshot(),
             "gate": self.gate.snapshot(),
             "pending_status": self._pending_status,
             "pending_new": self._pending_new,
-            "pending_ctrl": resolved_ctrl,
+            "pending_ctrl": self._pending_ctrl,
             "send_buffer": self._send_buffer,
             "metrics": self.metrics,
         }
@@ -1143,7 +1157,13 @@ class CrawlPipeline:
         pipe.gate.restore_buckets(state["gate"])
         pipe._pending_status = state["pending_status"]
         pipe._pending_new = state["pending_new"]
-        pipe._pending_ctrl = state.get("pending_ctrl", [])
+        planes = state.get("pending_ctrl", [])
+        if planes and isinstance(planes[0], pa.Table):
+            # written when one round was in flight: a flat list of that
+            # round's control tables, resumed as its one plane
+            planes = [{"round": pipe.round_idx - 1, "tables": planes,
+                       "busy_s": 0.0}]
+        pipe._pending_ctrl = planes
         pipe._send_buffer = state.get("send_buffer", [])
         mpath = os.path.join(cdir, "metrics.json")
         if os.path.exists(mpath):

@@ -20,6 +20,10 @@ def fresh(cfg_kw, tmp_path, name):
 
 
 BASE = dict(total=300, n_seeds=10, n_shards=4, loop_limit=100)
+# an open web whose frontier outgrows each round's selection, so which
+# round ingests a plane decides what the next selects emit
+SCHEDULE = dict(total=10 ** 6, n_seeds=30, n_shards=2, loop_limit=25,
+                show=4)
 
 
 class TestCrawlE2E:
@@ -145,6 +149,47 @@ class TestCrawlE2E:
         assert sorted(resumed.results_table()["image_id"].to_pylist()) == \
             oracle_ids
         assert resumed.seen_taskids() == pipe.seen_taskids()
+
+    def test_resume_flat_pending_ctrl(self, tmp_path):
+        """A checkpoint whose pending control tables are one flat list
+        (written while one round was in flight) resumes them as one
+        plane, the newest round's: here that is exactly the plane the
+        checkpoint held, so the resumed run matches an uninterrupted
+        one."""
+        import json
+        import os
+        import pickle
+        out = str(tmp_path / "flat")
+        cfg = CrawlConfig(out_dir=out, use_ray=False, **BASE)
+        pipe = CrawlPipeline(cfg)
+        pipe.seed()
+        pipe.run_round()
+        ckpt = pipe.checkpoint()
+        assert [p["round"] for p in pipe._pending_ctrl] == [0]
+        path = os.path.join(ckpt, "driver.pkl")
+        with open(path, "rb") as f:
+            state = pickle.load(f)
+        flat = state["pending_ctrl"][0]["tables"]
+        state["pending_ctrl"] = list(flat)
+        with open(path, "wb") as f:
+            pickle.dump(state, f)
+        before = len(pipe.emitted_order())
+        pipe.run(max_rounds=100)
+        # drop the partitions the uninterrupted run wrote after the
+        # checkpoint, as a kill would have
+        with open(os.path.join(ckpt, "manifest.json")) as f:
+            keep = set(json.load(f)["completed_result_dirs"])
+        for d in os.listdir(pipe.results_dir):
+            if d not in keep:
+                shutil.rmtree(os.path.join(pipe.results_dir, d))
+
+        resumed = CrawlPipeline.resume(cfg)
+        assert [(p["round"], len(p["tables"]))
+                for p in resumed._pending_ctrl] == [(0, len(flat))]
+        resumed.run(max_rounds=100)
+        assert resumed.emitted_order() == pipe.emitted_order()[before:]
+        ids = resumed.results_table()["image_id"].to_pylist()
+        assert len(ids) == len(set(ids)) == 300
 
     def test_conditional_recrawl_304(self, tmp_path):
         """J5/M8 — an age-based re-crawl of an unchanged page answers 304
@@ -299,6 +344,75 @@ class TestCrawlRayMode:
         b = sorted(local.results_table()["image_id"].to_pylist())
         assert a == b == [f"img-{i:012d}" for i in range(200)]
 
+    def test_ray_checkpoint_keeps_schedule(self, tmp_path):
+        """A checkpoint drains both rounds in flight but keeps them
+        apart: a Ray run checkpointed after its warm-up emits, sees and
+        writes exactly what an in-process run of the same rounds
+        without a checkpoint does (a checkpoint that merged the two
+        would let the next round ingest both at once)."""
+        kw = dict(SCHEDULE, batch_size=64, concurrency=2)
+        local = fresh(kw, tmp_path, "sched_local")
+        local.seed()
+        for _ in range(10):
+            local.run_round()
+
+        cfg = CrawlConfig(out_dir=str(tmp_path / "sched_ray"), use_ray=True,
+                          **kw)
+        pipe = CrawlPipeline(cfg)
+        pipe.seed()
+        for _ in range(3):
+            pipe.run_round()
+        pipe.checkpoint()
+        assert [p["round"] for p in pipe._pending_ctrl] == [1, 2]
+        for _ in range(7):
+            pipe.run_round()
+        assert pipe.emitted_order() == local.emitted_order()
+        assert pipe.seen_taskids() == local.seen_taskids()
+        a = sorted(pipe.results_table()["image_id"].to_pylist())
+        b = sorted(local.results_table()["image_id"].to_pylist())
+        assert a == b and len(a) == len(set(a)) > 0
+
+    def test_ray_resume_continues_emitted_order(self, tmp_path):
+        """Resume from a mid-crawl checkpoint restores both planes in
+        flight with their rounds; the resumed run emits what the
+        uninterrupted run emitted after the checkpoint."""
+        cfg = CrawlConfig(out_dir=str(tmp_path / "sched_resume"),
+                          use_ray=True, batch_size=64, concurrency=2,
+                          **SCHEDULE)
+        pipe = CrawlPipeline(cfg)
+        pipe.seed()
+        for _ in range(4):
+            pipe.run_round()
+        pipe.checkpoint()
+        before = len(pipe.emitted_order())
+        for _ in range(6):
+            pipe.run_round()
+        oracle = pipe.emitted_order()[before:]
+
+        resumed = CrawlPipeline.resume(cfg)
+        assert [p["round"] for p in resumed._pending_ctrl] == [2, 3]
+        for _ in range(6):
+            resumed.run_round()
+        assert resumed.emitted_order() == oracle
+        assert resumed.seen_taskids() == pipe.seen_taskids()
+
+    def test_worker_busy_in_round_metric(self, tmp_path):
+        """Every round reports worker_busy_s: process_chunk seconds of
+        the plane it ingested, summed over workers; over a run that is
+        positive and at most workers x wall."""
+        import time
+        cfg = CrawlConfig(out_dir=str(tmp_path / "busy"), use_ray=True,
+                          batch_size=64, concurrency=2, **SCHEDULE)
+        pipe = CrawlPipeline(cfg)
+        pipe.seed()
+        t0 = time.perf_counter()
+        for _ in range(8):
+            pipe.run_round()
+        wall = time.perf_counter() - t0
+        busy = [m["worker_busy_s"] for m in pipe.metrics]
+        assert len(busy) == 8 and min(busy) >= 0
+        assert 0 < sum(busy) <= cfg.concurrency * wall
+
 
 class TestWorkerFaultTolerance:
     def test_worker_death_mid_crawl(self, tmp_path, ray_session):
@@ -321,6 +435,112 @@ class TestWorkerFaultTolerance:
         ids = pipe.results_table()["image_id"].to_pylist()
         assert len(ids) == len(set(ids)) == 200
         assert victim not in pipe._workers   # replaced, not reused
+
+    def test_worker_death_with_two_rounds_queued(self, tmp_path,
+                                                 ray_session):
+        """A dead worker takes the chunks of both rounds in flight with
+        it; all of them are re-dispatched to one replacement."""
+        import ray
+        cfg = CrawlConfig(out_dir=str(tmp_path / "fault2"), use_ray=True,
+                          batch_size=64, concurrency=3,
+                          **dict(BASE, total=200, n_seeds=96, loop_limit=150))
+        pipe = CrawlPipeline(cfg)
+        pipe.seed()
+        pipe.run_round()
+        victim = pipe._worker_pool()[0]
+        ray.kill(victim, no_restart=True)
+        pipe.run_round()
+        # chunks of both planes in flight are queued on the dead worker
+        queued = [p["round"] for p in pipe._pending_ctrl
+                  if any(w is victim for _, w, _ in p["chunks"].values())]
+        assert queued == [0, 1]
+        # the round that ingests round 0 meets the dead worker and moves
+        # the chunks of round 1 too, not only those it waits for
+        pipe.run_round()
+        assert not [p for p in pipe._pending_ctrl
+                    if any(w is victim for _, w, _ in
+                           p.get("chunks", {}).values())]
+        pipe.run(max_rounds=100)
+        ids = pipe.results_table()["image_id"].to_pylist()
+        assert len(ids) == len(set(ids)) == 200
+        assert victim not in pipe._workers
+        assert len(pipe._workers) == cfg.concurrency
+
+
+LINK_SCRIPT = """# rate: 1000
+# burst: 1000
+import numpy as np
+from pyspider.libs.base_handler import *
+from pyspider_ray.functions import synthweb
+
+VERSION = 1
+
+
+class Handler(BaseHandler):
+    def on_start(self, response):
+        for url in synthweb.urls_of(np.arange(6, dtype=np.int64), 5):
+            self.crawl(url, callback=self.index_page, priority=1)
+
+    def index_page(self, response):
+        url_id = synthweb.parse_url_id(response.url)
+        kids = synthweb.child_ids(np.asarray([url_id]), 120)[0]
+        for kid, host in zip(kids, synthweb.host_of(kids, 5)):
+            self.crawl(synthweb.url_of(int(kid), int(host)),
+                       callback=self.index_page)
+        return {"image_id": f"img-{url_id:012d}", "version": VERSION}
+"""
+
+
+class TestScriptReloadInFlight:
+    def test_reload_with_plane_in_flight(self, tmp_path, ray_session):
+        """A script reload retires the worker pool while the newest
+        round's chunks are still queued on it; those chunks finish
+        first, so no row is lost or written twice."""
+        import json
+        import os
+        import pyarrow.dataset as pads
+        from pyspider_ray.sources.projectdb import (LocalProjectDB,
+                                                    build_handler)
+        script = tmp_path / "linkproj.py"
+        script.write_text(LINK_SCRIPT)
+        project = LocalProjectDB([str(script)]).get_all()[0]
+        cfg = CrawlConfig(total=120, n_shards=2, loop_limit=60,
+                          use_ray=True, concurrency=2, batch_size=64,
+                          out_dir=str(tmp_path / "reload"),
+                          handler_cls=build_handler(project),
+                          project=project["name"], rate=project["rate"],
+                          burst=project["burst"], script_path=str(script))
+        pipe = CrawlPipeline(cfg)
+        pipe.seed()
+        # run until the newest round's plane is in flight with results
+        # still to come, then swap the script at the next boundary
+        for _ in range(20):
+            pipe.run_round()
+            newest = pipe._pending_ctrl[-1] if pipe._pending_ctrl else {}
+            if newest.get("round") == pipe.round_idx - 1 \
+                    and "chunks" in newest and pipe.round_idx >= 4:
+                break
+        assert "chunks" in newest
+        old_pool = list(pipe._workers)
+        script.write_text(LINK_SCRIPT.replace("VERSION = 1", "VERSION = 2"))
+        pipe.control_inbox.put({"op": "update_script"})
+        swap = pipe.round_idx
+        pipe.run_round()
+        assert not set(map(id, old_pool)) & set(map(id, pipe._workers or []))
+        pipe.run(max_rounds=200)
+        pipe._flush_writes()
+        ids, versions = [], set()
+        for d in sorted(os.listdir(pipe.results_dir)):
+            rnd = int(d.split("=")[1])
+            table = pads.dataset(os.path.join(pipe.results_dir, d))
+            for r in table.to_table()["result"].to_pylist():
+                r = json.loads(r)
+                ids.append(r["image_id"])
+                # rounds dispatched before the swap ran on the old class
+                assert r["version"] == (1 if rnd < swap else 2), (d, r)
+                versions.add(r["version"])
+        assert len(ids) == len(set(ids)) == 120
+        assert versions == {1, 2}
 
 
 class TestOutQueueBackpressure:

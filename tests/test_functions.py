@@ -209,6 +209,23 @@ class TestSynthWeb:
         assert img.shape == (h, w, 3)
         assert np.array_equal(img, synthweb.page_pixels(123))
 
+    def test_page_bytes_pinned(self):
+        # page_pixels reads the generator's words directly; these
+        # digests were taken from the rng.integers(0, 256, uint8) stream,
+        # so any divergence of the two streams shows here
+        import hashlib
+        pinned = {
+            (0, 1): "dcebcd5ded4363913bf4877e3dce4f5e",
+            (1, 2): "f0874c31bfa52f904c112ce5c81d4b63",
+            (7, 3): "d1c38b28d1a00399328da69e10f6f9cf",
+            (12345, 6): "85fdac08df170cc94031a0960cb7b76b",
+            (10 ** 9 + 7, 5): "fdc174e161e59c34aa20cc8b0bb35604",
+            (2 ** 40 + 3, 1): "ff46061d324490f534ad6bc042fbb771",
+        }
+        for (url_id, scale), digest in pinned.items():
+            page = synthweb.encode_page(url_id, scale)
+            assert hashlib.md5(page).hexdigest() == digest, (url_id, scale)
+
     def test_url_roundtrip(self):
         urls = synthweb.urls_of(np.array([7, 12]))
         assert urls[0] == "http://site2.test/page/7"

@@ -130,8 +130,13 @@ class TestHandlerCrawlE2E:
         # intervals between consecutive fires are exactly the @every spec
         assert set(np.diff(fired2)) == {120}
         assert set(np.diff(fired3)) == {180}
-        # over the same span, the 2-minute job fires ~1.5x as often
-        span = pipe.clock.now() - 1_700_000_000.0
+        # over the same span, the 2-minute job fires ~1.5x as often.
+        # The span ends at the last round whose derived tasks can have
+        # completed: the task a fire derives is fetched ROUNDS_IN_FLIGHT
+        # rounds after the fire, so each round in flight beyond the
+        # first takes one clock_step off the span
+        span = pipe.clock.now() - 1_700_000_000.0 - \
+            (CrawlPipeline.ROUNDS_IN_FLIGHT - 1) * pipe.cfg.clock_step
         assert len(fired2) == len([t for t in fired2])  # sanity
         assert abs(len(fired2) - span / 120) <= 1
         assert abs(len(fired3) - span / 180) <= 1
