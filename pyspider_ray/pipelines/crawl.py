@@ -20,8 +20,10 @@ Two rounds are in flight.  Round k:
    (one directory per round — resumable); compact control rows (status
    + follows) come back to the driver for round k+2.
 
-The in-process path (``use_ray=False``) runs the same schedule, so the
-two produce the same emitted order, seen set and result rows.
+The in-process path (``use_ray=False``) runs the same schedule and the
+same worker code: one local ``_WorkerActor`` gets each round's batch as
+one chunk in a direct call, so the two produce the same emitted order,
+seen set and result rows.
 
 Frontier state lives in per-shard actors (``ray.remote`` wrapping
 ``FrontierShard``); the driver holds only the coordinator's sequential
@@ -52,6 +54,9 @@ from .. import VIRTUAL_EPOCH
 from ..functions import synthweb
 from ..stages.canonicalize import canonicalize_urls
 from ..stages.fetcher import SyntheticFetcher
+from ..stages.handler_processor import (HandlerProcessorStage,
+                                        handler_control_table,
+                                        handler_result_table)
 from ..stages.politeness import HostPolicy, PolitenessGate
 from ..stages.processor import (CONTROL_COLUMNS, ProcessorStage,
                                 ResultBuilder, control_table)
@@ -63,6 +68,11 @@ BUSY_KEY = "worker_busy_s"   # control-table metadata: process_chunk seconds
 
 class ResultWriteError(RuntimeError):
     """A result part could not be written; its rows are not on disk."""
+
+
+def _busy_s(tables: list[pa.Table]) -> float:
+    """Summed process_chunk seconds of a plane's control tables."""
+    return sum(float(t.schema.metadata[BUSY_KEY.encode()]) for t in tables)
 
 
 def _write_part(results: pa.Table, round_dir: str, part) -> None:
@@ -205,12 +215,9 @@ class _ActorShard:
         with open(path, "wb") as f:
             pickle.dump(self._shard.snapshot(), f)
 
-    def export_frontier_to(self, uri: str) -> str:
-        from ..sources.store import frontier_rows_to_table, write_table
-        table = frontier_rows_to_table(list(self._shard.store.values()),
-                                       self._shard.shard_id,
-                                       self._shard.n_shards)
-        return write_table(table, uri)
+    def export_frontier_to(self, out_dir: str) -> str:
+        from ..sources.store import export_shard
+        return export_shard(self._shard, out_dir)
 
     def restore_from(self, path: str, projects: list[ProjectConfig]) -> None:
         with open(path, "rb") as f:
@@ -226,7 +233,8 @@ class _WorkerActor:
     actor pool).  Each call fetches+processes one Arrow chunk, writes
     its payload rows straight to the round's Parquet partition (wide
     binary columns never travel back to the driver), and returns only
-    the compact control columns."""
+    the compact control columns.  The in-process crawl builds one and
+    calls it directly; the Ray crawl runs a pool of them as actors."""
 
     def __init__(self, fetcher_kwargs: dict, processor_kwargs: dict,
                  persist_payload: bool = True,
@@ -236,18 +244,13 @@ class _WorkerActor:
                  batch_rows: int = 256):
         import queue
         import threading
-        if fetcher_cls is None:
-            from ..stages.fetcher import SyntheticFetcher
-            fetcher_cls = SyntheticFetcher
-        self.fetcher = fetcher_cls(**fetcher_kwargs)
+        self.fetcher = (fetcher_cls or SyntheticFetcher)(**fetcher_kwargs)
         self.sink = sink_cls() if sink_cls is not None else None
         if handler_spec is not None:
-            from ..stages.handler_processor import HandlerProcessorStage
             handler_cls, project = handler_spec
             self.processor = HandlerProcessorStage(handler_cls, project)
             self.handler_mode = True
         else:
-            from ..stages.processor import ProcessorStage
             self.processor = ProcessorStage(**processor_kwargs)
             self.handler_mode = False
         self.persist_payload = persist_payload
@@ -272,10 +275,14 @@ class _WorkerActor:
         self._writer.start()
 
     def _write_loop(self) -> None:
-        # never dies: a dead writer would leave the bounded queue full
-        # and block process_chunk/flush forever
+        # never dies before close(): a dead writer would leave the
+        # bounded queue full and block process_chunk/flush forever
         while True:
-            results, round_dir, part_idx = self._write_queue.get()
+            item = self._write_queue.get()
+            if item is None:    # close()
+                self._write_queue.task_done()
+                return
+            results, round_dir, part_idx = item
             try:
                 if self._write_error is not None:
                     continue
@@ -300,6 +307,11 @@ class _WorkerActor:
         self._raise_write_error()
         return True
 
+    def close(self) -> None:
+        """Stop the writer thread after the parts already queued."""
+        self._write_queue.put(None)
+        self._writer.join()
+
     def process_chunk(self, table: pa.Table, round_dir: str,
                       part_idx: int, span: tuple | None = None) -> pa.Table:
         # span-slicing here lets the driver ray.put the round table ONCE
@@ -309,13 +321,12 @@ class _WorkerActor:
         self._raise_write_error()
         if span is not None:
             table = table.slice(span[0], span[1])
+        # module names, looked up per call: a wrapper installed on the
+        # module after the worker was built still sees every build
         if self.handler_mode:
-            from ..stages.handler_processor import (handler_control_table,
-                                                    handler_result_table)
             build_results, build_ctrl = handler_result_table, \
                 handler_control_table
         else:
-            from ..stages.processor import ResultBuilder, control_table
             build_results, build_ctrl = ResultBuilder, control_table
         n = len(table)
         one_batch = n <= self.batch_rows
@@ -388,6 +399,7 @@ class CrawlPipeline:
         # {"round", "tables", "busy_s"} once resolved
         self._pending_ctrl: list[dict] = []
         self._send_buffer: list[dict] = []      # W8 out-queue overflow
+        self._local_worker: _WorkerActor | None = None   # in-process plane
         # runtime-control command queue (webapi POSTs, reference
         # scheduler xmlrpc scheduler.py:693-736): producers are other
         # threads, the round loop drains it at the round boundary
@@ -572,8 +584,35 @@ class CrawlPipeline:
                        or 0.0) for t in tasks], pa.float64()),
         })
 
+    def _worker_args(self) -> tuple:
+        """The data-plane worker's constructor arguments: one recipe for
+        the Ray pool, its fault-time replacements and the in-process
+        worker."""
+        cfg = self.cfg
+        fk = {"fail_permille": cfg.fail_permille,
+              "page_scale": cfg.page_scale,
+              "session_cookies": cfg.session_cookies}
+        pk = {"total": cfg.total, "show": cfg.show, "n_hosts": cfg.n_hosts,
+              "skew": cfg.skew, "follow_priority": cfg.follow_priority}
+        spec = (cfg.handler_cls, cfg.project) if cfg.handler_cls else None
+        # keep each worker's in-flight live set near a fixed byte budget
+        # (~256 MB): the live set per row is ~4x the encoded payload
+        # (content column, result column, Parquet pages, one row's
+        # pixels), measured at page_scale 6 as ~62 KB x page_scale^2 per
+        # row (peak RSS growth of a 106-row batch: 237 MB for 59 MB of
+        # pages), so the 70 KB estimate keeps a ~10% margin.
+        # Small-payload chunks stay whole (an A/B showed a 23% throughput
+        # tax when 100-row page_scale-6 chunks were force-split); heavy
+        # payloads split to stay under the budget regardless of chunk
+        # size.
+        est_row_bytes = 70_000 * cfg.page_scale ** 2
+        batch_rows = max(16, min(cfg.batch_size * 4,
+                                 (256 << 20) // est_row_bytes))
+        return (fk, pk, cfg.persist_payload, spec, cfg.fetcher_cls,
+                cfg.sink_cls, batch_rows)
+
     def _spawn_worker(self):
-        """One worker spawn recipe shared by the pool and fault-time
+        """One Ray worker spawn recipe shared by the pool and fault-time
         replacement, so a replacement for a script-loaded handler gets
         the same PYTHONPATH (handler dir included) as the original."""
         import ray
@@ -595,28 +634,7 @@ class CrawlPipeline:
         env = {"env_vars": {"PYTHONPATH": path + ":" +
                             os.environ.get("PYTHONPATH", "")}}
         worker_cls = ray.remote(num_cpus=1, runtime_env=env)(_WorkerActor)
-        fk = {"fail_permille": cfg.fail_permille,
-              "page_scale": cfg.page_scale,
-              "session_cookies": cfg.session_cookies}
-        pk = {"total": cfg.total, "show": cfg.show, "n_hosts": cfg.n_hosts,
-              "skew": cfg.skew, "follow_priority": cfg.follow_priority}
-        spec = (cfg.handler_cls, cfg.project) if cfg.handler_cls else None
-        # keep each worker's in-flight live set near a fixed byte budget
-        # (~256 MB): the live set per row is ~4x the encoded payload
-        # (content column, result column, Parquet pages, one row's
-        # pixels), measured at page_scale 6 as ~62 KB x page_scale^2 per
-        # row (peak RSS growth of a 106-row batch: 237 MB for 59 MB of
-        # pages), so the 70 KB estimate keeps a ~10% margin.
-        # Small-payload chunks stay whole (an A/B showed a 23% throughput
-        # tax when 100-row page_scale-6 chunks were force-split); heavy
-        # payloads split to stay under the budget regardless of chunk
-        # size.
-        est_row_bytes = 70_000 * cfg.page_scale ** 2
-        batch_rows = max(16, min(cfg.batch_size * 4,
-                                 (256 << 20) // est_row_bytes))
-        return worker_cls.remote(fk, pk, cfg.persist_payload, spec,
-                                 cfg.fetcher_cls, cfg.sink_cls,
-                                 batch_rows)
+        return worker_cls.remote(*self._worker_args())
 
     def _worker_pool(self) -> list:
         """Lazily create the persistent data-plane actor pool."""
@@ -627,8 +645,9 @@ class CrawlPipeline:
         return self._workers
 
     def _run_data_plane(self, table: pa.Table, round_dir: str) -> dict:
-        """fetch → process; payload rows to Parquet.  Returns the
-        round's plane: in flight (Ray: its queued chunks) or resolved
+        """fetch → process; payload rows to Parquet, on the worker pool
+        (Ray) or one local worker (in-process).  Returns the round's
+        plane: in flight (Ray: its queued chunks) or resolved
         (in-process: its control tables and busy seconds)."""
         cfg = self.cfg
         plane = {"round": self.round_idx}
@@ -658,42 +677,13 @@ class CrawlPipeline:
             plane.update(chunks=chunks, table_ref=table_ref,
                          round_dir=round_dir)
             return plane
-        # no-ray path: same stages, driver-side
-        t0 = time.perf_counter()
-        fetcher = getattr(self, "_local_fetcher", None)
-        if fetcher is None:
-            fcls = cfg.fetcher_cls or SyntheticFetcher
-            fetcher = self._local_fetcher = fcls(
-                fail_permille=cfg.fail_permille, page_scale=cfg.page_scale,
-                session_cookies=cfg.session_cookies)
-        processor = getattr(self, "_local_processor", None)
-        if processor is None:
-            if cfg.handler_cls is not None:
-                from ..stages.handler_processor import HandlerProcessorStage
-                processor = HandlerProcessorStage(cfg.handler_cls,
-                                                  cfg.project)
-            else:
-                processor = ProcessorStage(cfg.total, cfg.show, cfg.n_hosts,
-                                           cfg.skew, cfg.follow_priority)
-            self._local_processor = processor
-        processed = processor(fetcher(table))
-        if cfg.handler_cls is not None:
-            from ..stages.handler_processor import (handler_control_table,
-                                                    handler_result_table)
-            results = handler_result_table(processed)
-            ctrl = handler_control_table(processed)
-        else:
-            results = ResultBuilder(processed)
-            ctrl = control_table(processed)
-        if len(results):
-            if cfg.sink_cls is not None:
-                sink = getattr(self, "_local_sink", None)
-                if sink is None:
-                    sink = self._local_sink = cfg.sink_cls()
-                sink(results, round_dir, 0)
-            else:
-                _write_part(results, round_dir, 0)
-        plane.update(tables=[ctrl], busy_s=time.perf_counter() - t0)
+        # in-process: the round is one chunk of one local worker, and
+        # its rows are on disk before the round returns
+        if self._local_worker is None:
+            self._local_worker = _WorkerActor(*self._worker_args())
+        ctrl = self._local_worker.process_chunk(table, round_dir, 0)
+        self._local_worker.flush()
+        plane.update(tables=[ctrl], busy_s=_busy_s([ctrl]))
         return plane
 
     def _ingest_handler_extras(self, ctrl_tables: list[pa.Table]) -> None:
@@ -784,8 +774,7 @@ class CrawlPipeline:
         for key in ("chunks", "table_ref", "round_dir"):
             del plane[key]
         plane["tables"] = tables
-        plane["busy_s"] = sum(float(t.schema.metadata[BUSY_KEY.encode()])
-                              for t in tables)
+        plane["busy_s"] = _busy_s(tables)
 
     def _resolve_planes(self) -> None:
         """Drain every plane in flight; each stays its own entry, so the
@@ -900,7 +889,9 @@ class CrawlPipeline:
                 except Exception:
                     pass
         self._workers = None
-        self._local_processor = None   # no-ray path rebuilds lazily
+        if self._local_worker is not None:   # in-process: rebuilt lazily
+            self._local_worker.close()
+            self._local_worker = None
 
     def run_round(self) -> dict:
         with self.ctl_lock:
@@ -993,7 +984,7 @@ class CrawlPipeline:
                   # submission
                   "t_drain": round(t_drain - t0, 4),
                   # process_chunk seconds summed over the due plane (all
-                  # workers); in-process, the data plane's wall time
+                  # workers; in-process, the one local worker)
                   "worker_busy_s": round(busy_s, 4),
                   "t_follow": round(t_follow - t_drain, 4),
                   "t_select": round(t_select - t_follow, 4),
@@ -1022,24 +1013,18 @@ class CrawlPipeline:
     def export_frontier(self, out_dir: str | None = None) -> str:
         """Portable columnar taskdb snapshot (sources/store.py) with
         lineage — engine-agnostic alternative to the pickle checkpoints."""
+        from ..sources.store import export_frontier as _export
+        from ..sources.store import write_frontier_manifest
         out_dir = out_dir or os.path.join(self.cfg.out_dir, "frontier")
-        os.makedirs(out_dir, exist_ok=True)
         lineage = {"round": self.round_idx, "vtime": self.clock.now(),
                    "config_digest": self.cfg.digest()}
-        if self.cfg.use_ray:
-            import ray
-            paths = ray.get([
-                s.export_frontier_to.remote(
-                    os.path.join(out_dir, f"shard={i:04d}"))
-                for i, s in enumerate(self.shards)])
-            from ..sources.store import storage_format
-            manifest = {"format": storage_format(), "partitions": paths,
-                        "lineage": lineage}
-            with open(os.path.join(out_dir, "manifest.json"), "w") as f:
-                json.dump(manifest, f, indent=1)
-            return out_dir
-        from ..sources.store import export_frontier as _export
-        return _export(self.shards, out_dir, lineage)
+        if not self.cfg.use_ray:
+            return _export(self.shards, out_dir, lineage)
+        import ray
+        os.makedirs(out_dir, exist_ok=True)
+        paths = ray.get([s.export_frontier_to.remote(out_dir)
+                         for s in self.shards])
+        return write_frontier_manifest(out_dir, paths, lineage)
 
     def _flush_writes(self) -> None:
         if self.cfg.use_ray and getattr(self, "_workers", None):

@@ -120,21 +120,32 @@ def frontier_rows_to_table(tasks: list[dict], shard_id: int,
     return table.replace_schema_metadata(meta)
 
 
-def export_frontier(shards, out_dir: str, lineage: dict | None = None) -> str:
-    """One table per shard partition + a manifest with lineage — the
-    resumable, engine-portable taskdb snapshot."""
-    os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    for shard in shards:
-        tasks = list(shard.store.values())
-        table = frontier_rows_to_table(tasks, shard.shard_id, shard.n_shards)
-        paths.append(write_table(
-            table, os.path.join(out_dir, f"shard={shard.shard_id:04d}")))
+def export_shard(shard, out_dir: str) -> str:
+    """Write one FrontierShard's stored tasks as its partition of an
+    exported frontier; returns the partition's path."""
+    table = frontier_rows_to_table(list(shard.store.values()),
+                                   shard.shard_id, shard.n_shards)
+    return write_table(
+        table, os.path.join(out_dir, f"shard={shard.shard_id:04d}"))
+
+
+def write_frontier_manifest(out_dir: str, paths: list[str],
+                            lineage: dict | None = None) -> str:
+    """Publish the manifest that makes ``out_dir``'s shard partitions
+    one exported frontier (read back by ``load_frontier``)."""
     manifest = {"format": storage_format(), "partitions": paths,
                 "lineage": lineage or {}}
     with open(os.path.join(out_dir, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=1)
     return out_dir
+
+
+def export_frontier(shards, out_dir: str, lineage: dict | None = None) -> str:
+    """One table per shard partition + a manifest with lineage — the
+    resumable, engine-portable taskdb snapshot."""
+    os.makedirs(out_dir, exist_ok=True)
+    return write_frontier_manifest(
+        out_dir, [export_shard(s, out_dir) for s in shards], lineage)
 
 
 def load_frontier(path_or_dir: str) -> pa.Table:

@@ -3,11 +3,11 @@
 The reference runs ONE scheduler process holding every project's task
 queue (docs/Architecture.md:35).  Here that state is hash-partitioned:
 shard *i* owns every task with ``urlhash % n_shards == i`` and holds,
-per project, the priority/time/processing queues (state.task_queue),
-the exact URL-seen store (the taskdb role, scheduler.py:813-823), and a
-cuckoo prefilter for the new-link fast path.  The reference's
-``ThreadBaseScheduler`` routes work by ``hash(taskid) % threads``
-(scheduler.py:1286-1296), which is exactly this partitioning — per-key
+per project, the priority/time/processing queues (state.task_queue)
+and the exact URL-seen store (the taskdb role, scheduler.py:813-823).
+The reference's ``ThreadBaseScheduler`` routes work by
+``hash(taskid) % threads`` (scheduler.py:1286-1296), which is exactly
+this partitioning — per-key
 ordering is the real invariant, so per-shard ordering + deterministic
 driver-side interleave reproduces the single-heap order.
 
@@ -33,11 +33,9 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..functions.urls import urlhash64
 from ..model import (ACTIVE, BAD, DEFAULT_RETRY_DELAY, DEFAULT_SCHEDULE,
                      FAILED, SUCCESS)
 from .clock import SequenceSource, wall_clock
-from .cuckoo import CuckooFilter
 from .task_queue import TaskQueue
 
 
@@ -69,8 +67,7 @@ class FrontierShard:
     def __init__(self, shard_id: int = 0, n_shards: int = 1,
                  clock: Callable[[], float] = wall_clock,
                  inqueue_limit: int = 0,
-                 processing_timeout: float = 10 * 60,
-                 seen_capacity: int = 1 << 21):
+                 processing_timeout: float = 10 * 60):
         self.shard_id = shard_id
         self.n_shards = n_shards
         self._clock = clock
@@ -81,7 +78,6 @@ class FrontierShard:
         self.queues: dict[str, TaskQueue] = {}
         # exact URL-seen store: (project, taskid) -> task dict
         self.store: dict[tuple[str, str], dict] = {}
-        self.seen_filter = CuckooFilter(seen_capacity)
         self._postponed: list[dict] = []
         self.counters: dict[tuple[str, str], int] = {}
         self.emitted_log: list[str] = []  # taskids in emission order (tests)
@@ -123,7 +119,6 @@ class FrontierShard:
         for task in rows:
             key = (task["project"], task["taskid"])
             self.store[key] = task
-            self.seen_filter.add(task.get("urlhash") or urlhash64(task["taskid"]))
             if task.get("status", ACTIVE) == ACTIVE:
                 sched = _sched(task) or DEFAULT_SCHEDULE
                 self._queue(task["project"]).put(
@@ -249,18 +244,6 @@ class FrontierShard:
         store = self.store
         limit = self.inqueue_limit
         now = self._clock()
-        new_hashes: list[int] = []
-        # NOTE on seen_filter: it is maintained (every insert path
-        # adds its urlhash) and checkpointed, but deliberately NOT
-        # consulted here.  A wired prefilter ("hash absent ⇒ skip the
-        # exact probes") was measured 20-40% SLOWER than the plain
-        # dict probes on this in-memory store (84-90k vs 106-124k
-        # links/s ingest, same batch): the cuckoo's two random bucket
-        # reads cache-miss into a 16 MB table while the dicts stay
-        # hot.  The filter's payoff is the DISK-BACKED store of the
-        # scaled design, where a negative skips a disk/RPC probe —
-        # there `contains_many` gates the exact lookup; here exact is
-        # already O(1)-in-memory and authoritative.
         for i, taskid in enumerate(taskids):
             if taskid in tq or (project, taskid) in store:
                 stats["ignored"] += 1
@@ -279,13 +262,9 @@ class FrontierShard:
             if saves is not None and saves[i]:
                 task["fetch"] = {"save": saves[i]}
             store[(project, taskid)] = task
-            new_hashes.append(urlhashes[i])
             tq.put(taskid, prio, 0, sequence=seqs[i])
             self._count(project, "pending")
             stats["new"] += 1
-        if new_hashes:
-            import numpy as np
-            self.seen_filter.add_many(np.asarray(new_hashes, dtype=np.int64))
         return stats
 
     def _dispatch_request(self, task: dict, stats: dict) -> None:
@@ -312,7 +291,6 @@ class FrontierShard:
         task["updatetime"] = self._clock()
         key = (task["project"], task["taskid"])
         self.store[key] = task
-        self.seen_filter.add(task.get("urlhash") or urlhash64(task["taskid"]))
         self._put(task)
         self._count(task["project"], "pending")
         stats["new"] += 1
@@ -579,7 +557,6 @@ class FrontierShard:
             "n_shards": self.n_shards,
             "store": list(self.store.items()),
             "queues": {name: tq.snapshot() for name, tq in self.queues.items()},
-            "cuckoo": self.seen_filter.snapshot(),
             "counters": list(self.counters.items()),
             "postponed": self._postponed,
             "emitted": len(self.emitted_log),
@@ -588,6 +565,9 @@ class FrontierShard:
     @classmethod
     def restore(cls, snap: dict, clock: Callable[[], float] = wall_clock,
                 projects: list[ProjectConfig] | None = None) -> "FrontierShard":
+        # snapshots written while the shard kept a URL-seen cuckoo filter
+        # carry it under "cuckoo"; the exact store answers alone, so the
+        # key is ignored
         shard = cls(snap["shard_id"], snap["n_shards"], clock=clock)
         for cfg in projects or []:
             shard.update_project(cfg)
@@ -598,7 +578,6 @@ class FrontierShard:
                 tq.rate = shard.queues[name].rate
                 tq.burst = shard.queues[name].burst
             shard.queues[name] = tq
-        shard.seen_filter = CuckooFilter.restore(snap["cuckoo"])
         shard.counters = dict((tuple(k), v) for k, v in snap["counters"])
         shard._postponed = snap["postponed"]
         return shard

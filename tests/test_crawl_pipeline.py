@@ -191,6 +191,66 @@ class TestCrawlE2E:
         ids = resumed.results_table()["image_id"].to_pylist()
         assert len(ids) == len(set(ids)) == 300
 
+    def test_resume_checkpoint_with_cuckoo_key(self, tmp_path):
+        """Shard snapshots written while the shard kept a URL-seen
+        cuckoo filter carry it under "cuckoo"; such a checkpoint still
+        resumes, and the resumed run emits what the uninterrupted run
+        emitted after it."""
+        import json
+        import os
+        import pickle
+
+        import numpy as np
+
+        from pyspider_ray.state.cuckoo import CuckooFilter
+        out = str(tmp_path / "cuckoo_ck")
+        cfg = CrawlConfig(out_dir=out, use_ray=False, **BASE)
+        pipe = CrawlPipeline(cfg)
+        pipe.seed()
+        for _ in range(4):
+            pipe.run_round()
+        ckpt = pipe.checkpoint()
+        for i in range(cfg.n_shards):
+            path = os.path.join(ckpt, f"shard_{i}.pkl")
+            with open(path, "rb") as f:
+                snap = pickle.load(f)
+            assert "cuckoo" not in snap
+            seen = CuckooFilter(1 << 10)
+            seen.add_many(np.asarray([t["urlhash"] for _, t in snap["store"]],
+                                     dtype=np.int64))
+            snap["cuckoo"] = seen.snapshot()
+            with open(path, "wb") as f:
+                pickle.dump(snap, f)
+        before = len(pipe.emitted_order())
+        pipe.run(max_rounds=100)
+        with open(os.path.join(ckpt, "manifest.json")) as f:
+            keep = set(json.load(f)["completed_result_dirs"])
+        for d in os.listdir(pipe.results_dir):
+            if d not in keep:
+                shutil.rmtree(os.path.join(pipe.results_dir, d))
+
+        resumed = CrawlPipeline.resume(cfg)
+        resumed.run(max_rounds=100)
+        assert resumed.emitted_order() == pipe.emitted_order()[before:]
+        assert resumed.seen_taskids() == pipe.seen_taskids()
+        ids = resumed.results_table()["image_id"].to_pylist()
+        assert len(ids) == len(set(ids)) == 300
+
+    def test_in_process_write_failure_raises(self, tmp_path):
+        """A result sink that fails makes the in-process round that
+        wrote to it raise ResultWriteError, as a Ray worker's flush
+        does."""
+        from pyspider_ray.pipelines import ResultWriteError
+
+        class FailingSink:
+            def __call__(self, table, round_dir, part_idx):
+                raise OSError("disk full")
+
+        pipe = fresh(dict(BASE, sink_cls=FailingSink), tmp_path, "sinkfail")
+        pipe.seed()
+        with pytest.raises(ResultWriteError, match="disk full"):
+            pipe.run_round()
+
     def test_conditional_recrawl_304(self, tmp_path):
         """J5/M8 — an age-based re-crawl of an unchanged page answers 304
         (etag match), succeeds, and produces no duplicate result row."""
@@ -328,21 +388,35 @@ class TestCrawlRayMode:
         assert pipe.coord.pause_status() == {"bench": False}
 
     def test_ray_actor_mode_matches_local(self, tmp_path):
-        local = fresh(dict(BASE, total=200), tmp_path, "raylocal")
-        local.seed()
-        local.run(max_rounds=100)
+        """The Ray run and the in-process run of one seed emit, see and
+        write the same.  In the "sub" case batch_rows is 16 (batch_size
+        x 4), so the in-process worker splits each 33-row round into
+        part-0_<k> sub-parts while the Ray chunks stay whole."""
+        import pathlib
+        for case, kw, ray_kw in (
+                ("whole", {}, {"batch_size": 64}),
+                ("sub", {"page_scale": 2, "batch_size": 4}, {})):
+            local = fresh(dict(BASE, total=200, **kw), tmp_path,
+                          f"raylocal_{case}")
+            local.seed()
+            local.run(max_rounds=100)
 
-        out = str(tmp_path / "rayray")
-        cfg = CrawlConfig(out_dir=out, use_ray=True, batch_size=64,
-                          concurrency=2, **dict(BASE, total=200))
-        pipe = CrawlPipeline(cfg)
-        pipe.seed()
-        pipe.run(max_rounds=100)
-        assert pipe.emitted_order() == local.emitted_order()
-        assert pipe.seen_taskids() == local.seen_taskids()
-        a = sorted(pipe.results_table()["image_id"].to_pylist())
-        b = sorted(local.results_table()["image_id"].to_pylist())
-        assert a == b == [f"img-{i:012d}" for i in range(200)]
+            out = str(tmp_path / f"rayray_{case}")
+            cfg = CrawlConfig(out_dir=out, use_ray=True, concurrency=2,
+                              **dict(BASE, total=200, **kw, **ray_kw))
+            pipe = CrawlPipeline(cfg)
+            pipe.seed()
+            pipe.run(max_rounds=100)
+            assert pipe.emitted_order() == local.emitted_order()
+            assert pipe.seen_taskids() == local.seen_taskids()
+            a = pipe.results_table().sort_by("taskid")
+            b = local.results_table().sort_by("taskid")
+            assert a.equals(b)
+            assert sorted(a["image_id"].to_pylist()) == \
+                [f"img-{i:012d}" for i in range(200)]
+            sub_parts = list(pathlib.Path(local.results_dir)
+                             .glob("round=*/part-0_*.parquet"))
+            assert bool(sub_parts) == (case == "sub")
 
     def test_ray_checkpoint_keeps_schedule(self, tmp_path):
         """A checkpoint drains both rounds in flight but keeps them
@@ -644,3 +718,45 @@ class TestWorkerSubBatching:
         assert one_ctrl.sort_by("taskid").equals(sub_ctrl.sort_by("taskid"))
         assert one_payload.sort_by("image_id").equals(
             sub_payload.sort_by("image_id"))
+
+
+@pytest.mark.parametrize("use_ray", [False, True])
+def test_persist_payload_false_writes_no_bytes(tmp_path, request, use_ray):
+    """persist_payload=False keeps the metadata columns and drops the
+    image bytes on both paths: they run the same worker code."""
+    if use_ray:
+        request.getfixturevalue("ray_session")
+    cfg = CrawlConfig(out_dir=str(tmp_path / "nobytes"), use_ray=use_ray,
+                      persist_payload=False, batch_size=64, concurrency=2,
+                      **dict(BASE, total=60))
+    pipe = CrawlPipeline(cfg)
+    pipe.seed()
+    for _ in range(4):
+        pipe.run_round()
+    t = pipe.results_table()
+    assert t.num_rows > 0
+    assert "bytes" not in t.column_names
+    assert {"image_id", "caption", "phash"} <= set(t.column_names)
+
+
+def test_one_data_plane():
+    """The crawl has one data plane: in ``pipelines/crawl.py`` every
+    use of the result/control builders and of the part writer is inside
+    ``_WorkerActor``, which the Ray pool and the in-process crawl both
+    run."""
+    import ast
+    import pathlib
+
+    from pyspider_ray.pipelines import crawl
+    names = {"ResultBuilder", "control_table", "handler_result_table",
+             "handler_control_table", "_write_part"}
+    tree = ast.parse(pathlib.Path(crawl.__file__).read_text())
+    worker = next(n for n in tree.body if isinstance(n, ast.ClassDef)
+                  and n.name == "_WorkerActor")
+    inside = {id(n) for n in ast.walk(worker)}
+    used = [n for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and n.id in names]
+    outside = [f"{n.id} at line {n.lineno}" for n in used
+               if id(n) not in inside]
+    assert not outside, outside
+    assert {n.id for n in used} == names

@@ -283,24 +283,29 @@ class TestFrontierShardProperties:
 
     @given(ids=st.lists(st.integers(0, 60), min_size=1, max_size=80))
     @settings(max_examples=30, deadline=None)
-    def test_follow_batch_correct_when_filter_saturated(self, ids):
-        """A saturated cuckoo must fall back to the exact store with
-        identical semantics (the fast path may only fire while the
-        filter is authoritative-for-absence)."""
+    def test_follow_batch_ignores_finished_tasks(self, ids):
+        """A repeated follow of a task that has left the queue (fetched
+        and done) is answered by the exact store alone: ignored, never
+        re-enqueued."""
         from pyspider_ray.state.clock import VirtualClock
         from pyspider_ray.state.frontier import (FrontierShard,
                                                  ProjectConfig)
-        shard = FrontierShard(0, 1, clock=VirtualClock(1e9),
-                              seen_capacity=4)       # saturates fast
+        shard = FrontierShard(0, 1, clock=VirtualClock(1e9))
         shard.update_project(ProjectConfig("p", rate=1e9, burst=1e9))
-        shard.seen_filter.saturated = True           # worst case
         tids = [f"t{i}" for i in ids]
         args = (tids, ids, [f"u{i}" for i in ids],
                 ["h"] * len(ids), list(range(1, len(ids) + 1)))
         s1 = shard.on_follow_batch(*args, "p", 0)
         assert s1["new"] == len(set(ids))
+        done = shard.select({"p": len(ids)})
+        assert len(done) == len(set(ids))
+        shard.on_status_batch([{"taskid": t["taskid"], "project": "p",
+                                "track": {"process_ok": True}}
+                               for t in done])
+        assert shard.queue_size("p") == 0
         s2 = shard.on_follow_batch(*args, "p", 0)
         assert s2["new"] == 0 and s2["ignored"] == len(ids)
+        assert shard.queue_size("p") == 0
 
 
 class TestRoundCentsProperties:

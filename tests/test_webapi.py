@@ -319,6 +319,7 @@ class TestScriptEditor:
             pipe.run_round()
         v1 = self._results(pipe)
         assert any(r.get("version") == 1 for r in v1)
+        old_worker = pipe._local_worker
         srv = webapi.serve(pipe)
         base = f"http://127.0.0.1:{srv.server_address[1]}"
         try:
@@ -333,6 +334,9 @@ class TestScriptEditor:
             assert code == 200 and out["saved"] and out["queued"]
             assert script.read_text() == SCRIPT_V2
             pipe.run_round()      # hot swap applies at the boundary
+            # the old-class worker is retired and its writer stopped
+            assert pipe._local_worker is not old_worker
+            assert not old_worker._writer.is_alive()
             rt = pipe.coord.projects[cfg.project]
             assert rt.cfg.rate == 7.0       # header comment re-read
             # a fresh task now runs through the NEW handler class
